@@ -7,8 +7,14 @@
 //! pathological SAT instance burns only its own quota and surfaces as a
 //! typed `timeout` verdict — never a hang, never a skipped record, and
 //! never a budget smeared across unrelated problems. After the solve,
-//! the consumer classifies the problem (`classify_with`, hitting the
-//! synthesis memoised by the solve) and probes odd-side solvability.
+//! the consumer classifies the problem (`classify_with`) and probes
+//! odd-side solvability. Classification runs the synthesis itself, on
+//! the consumer thread: the solve never synthesises at the default
+//! `even_side` 4, because the `synthesised-tiles` tier needs a side of
+//! at least 5 even at k = 1 (a 3×2 window plus its `S_k` frame), so
+//! there is no memoised outcome to hit. What the solves and the
+//! classifications do share is the process-wide tile-table memo
+//! (`lcl_core::synthesis`), built once per `(k, shape)`.
 //!
 //! # Checkpoint journal
 //!

@@ -9,12 +9,13 @@
 //! orientation bits) — and handed to the CDCL solver; a model is read back
 //! as the lookup table of `A′`.
 
-use super::tiles::{enumerate_tiles, Tile, TileShape};
+use super::tiles::{tile_tables, TableUse, Tile, TileShape};
 use crate::lcl::{GridProblem, Label};
 use lcl_grid::{Metric, Pos, Torus2};
 use lcl_local::{GridInstance, Rounds};
 use lcl_sat::{exactly_one, Budget, BudgetExceeded, Lit, SolveOutcome, Solver, Var};
 use std::fmt;
+use std::sync::Arc;
 
 /// Typed failure of a synthesised-algorithm run: the `try_run` entry
 /// points return these instead of panicking.
@@ -87,10 +88,11 @@ impl SynthesisConfig {
 /// problem-independent anchor component plus a finite lookup table.
 ///
 /// The table is stored *interned*: the realizable tiles in their sorted
-/// canonical enumeration order plus a parallel label array. Lookups are
-/// binary searches by reference — no tile is ever cloned or hashed on the
-/// hot path, and the flat arrays (de)serialise directly for the
-/// persistent synthesis cache (see [`super::persist`]).
+/// canonical enumeration order (shared with the process-wide tile-table
+/// memo) plus a parallel label array. Lookups are binary searches by
+/// reference — no tile is ever cloned or hashed on the hot path, and the
+/// flat arrays (de)serialise directly for the persistent synthesis cache
+/// (see [`super::persist`]).
 #[derive(Clone, Debug)]
 pub struct SynthesizedAlgorithm {
     pub(in crate::synthesis) problem_name: String,
@@ -99,7 +101,7 @@ pub struct SynthesizedAlgorithm {
     pub(in crate::synthesis) row_off: usize,
     pub(in crate::synthesis) col_off: usize,
     /// Realizable tiles, strictly sorted (the canonical enumeration order).
-    pub(in crate::synthesis) tiles: Vec<Tile>,
+    pub(in crate::synthesis) tiles: Arc<[Tile]>,
     /// `labels[i]` is `A′(tiles[i])`.
     pub(in crate::synthesis) labels: Vec<Label>,
 }
@@ -245,8 +247,9 @@ pub fn synthesize(problem: &GridProblem, config: &SynthesisConfig) -> Option<Syn
         .expect("an unlimited budget never trips")
 }
 
-/// [`synthesize`] under a cooperative [`Budget`]: the tile-realizability
-/// SAT solve polls the budget at propagation-loop granularity. A budget
+/// [`synthesize`] under a cooperative [`Budget`]: the SAT solve of the
+/// `A′` constraint system polls the budget at propagation-loop
+/// granularity; the shared tile tables are built outside it. A budget
 /// trip is distinguished from unsatisfiability — `Err` means "ran out of
 /// budget", `Ok(None)` means "provably no `A′` with this window shape".
 pub fn synthesize_budgeted(
@@ -254,36 +257,51 @@ pub fn synthesize_budgeted(
     config: &SynthesisConfig,
     budget: &Budget,
 ) -> Result<Option<SynthesizedAlgorithm>, BudgetExceeded> {
+    synthesize_tallied(problem, config, budget, &mut TableUse::default())
+}
+
+/// [`synthesize_budgeted`], tallying its tile-table lookups into `usage`.
+/// Tables come from the process-wide memo and are built outside the
+/// budget, so the verdict and the steps charged do not depend on whether
+/// an earlier caller already built them.
+fn synthesize_tallied(
+    problem: &GridProblem,
+    config: &SynthesisConfig,
+    budget: &Budget,
+    usage: &mut TableUse,
+) -> Result<Option<SynthesizedAlgorithm>, BudgetExceeded> {
     let shape = config.shape;
     let k = config.k;
     budget.check()?;
-    let tiles = enumerate_tiles(k, shape);
-    let index = TileIndex(&tiles);
+    let tables = tile_tables(k, shape);
+    let tiles = tables.tiles(usage);
 
     let mut solver = Solver::new();
+    let n = tiles.len();
     let assignment: AssignmentFn = match problem {
         GridProblem::VertexColouring { k: colours } => {
-            encode_vertex(&mut solver, k, shape, &tiles, index, *colours)
+            let (east, north) = (tables.east_pairs(usage), tables.north_pairs(usage));
+            encode_vertex(&mut solver, n, east, north, *colours)
         }
         GridProblem::EdgeColouring { k: colours } => {
-            encode_edge(&mut solver, k, shape, &tiles, index, *colours)
+            encode_edge(&mut solver, n, tables.corners(usage), *colours)
         }
         GridProblem::Orientation { x } => {
-            encode_orientation(&mut solver, k, shape, &tiles, index, *x)
+            encode_orientation(&mut solver, n, tables.corners(usage), *x)
         }
-        GridProblem::Block(b) => encode_block(&mut solver, k, shape, &tiles, index, b),
+        GridProblem::Block(b) => encode_block(&mut solver, n, tables.corners(usage), b),
     };
 
     Ok(match solver.solve_budgeted(budget)? {
         SolveOutcome::Sat(model) => {
-            let labels = (0..tiles.len()).map(|i| assignment(&model, i)).collect();
+            let labels = (0..n).map(|i| assignment(&model, i)).collect();
             Some(SynthesizedAlgorithm {
                 problem_name: problem.name(),
                 k,
                 shape,
                 row_off: shape.rows / 2,
                 col_off: shape.cols / 2,
-                tiles,
+                tiles: Arc::clone(tiles),
                 labels,
             })
         }
@@ -302,7 +320,7 @@ pub fn synthesize_auto(problem: &GridProblem, max_k: usize) -> Option<Synthesize
 }
 
 /// [`synthesize_auto`] under a cooperative [`Budget`], polled between
-/// deepening steps and inside every tile-realizability SAT solve. An
+/// deepening steps and inside every `A′` constraint solve. An
 /// `Err` means the fixpoint was interrupted mid-deepening: the caller
 /// must *not* cache it as a "no normal form up to `max_k`" verdict.
 pub fn synthesize_auto_budgeted(
@@ -311,80 +329,52 @@ pub fn synthesize_auto_budgeted(
     budget: &Budget,
 ) -> Result<Option<SynthesizedAlgorithm>, BudgetExceeded> {
     // The deepening loop is the synthesis "fixpoint": trace it with the
-    // number of (k, shape) attempts and the k that finally succeeded.
+    // number of (k, shape) attempts, the k that finally succeeded and the
+    // tile-table lookups (slot 1 hits, slot 3 misses, i.e. builds).
     let mut span = lcl_trace::span(lcl_trace::SpanKind::Synthesis, "synthesize-auto");
-    let mut attempts = 0u64;
-    for k in 1..=max_k {
-        let shapes = [
+    let (mut attempts, mut usage) = (0u64, TableUse::default());
+    let configs = (1..=max_k).flat_map(|k| {
+        [
             TileShape::new(2 * k + 1, (2 * k - 1).max(2)),
             TileShape::new(2 * k + 1, 2 * k + 1),
-        ];
-        for shape in shapes {
-            attempts += 1;
-            if let Some(a) = synthesize_budgeted(problem, &SynthesisConfig { k, shape }, budget)? {
-                span.counters([attempts, 0, k as u64, 0]);
-                return Ok(Some(a));
-            }
+        ]
+        .map(|shape| SynthesisConfig { k, shape })
+    });
+    let mut found = Ok(None);
+    for config in configs {
+        attempts += 1;
+        found = synthesize_tallied(problem, &config, budget, &mut usage);
+        if !matches!(found, Ok(None)) {
+            break;
         }
     }
-    span.counters([attempts, 0, 0, 0]);
-    Ok(None)
-}
-
-/// The interned tile table: indices are binary searches over the sorted
-/// canonical enumeration, so building the CSP neither hashes nor clones
-/// tiles as map keys.
-#[derive(Clone, Copy)]
-struct TileIndex<'a>(&'a [Tile]);
-
-impl TileIndex<'_> {
-    fn get(&self, tile: &Tile) -> usize {
-        self.0
-            .binary_search(tile)
-            .expect("sub-tile of a realizable tile is realizable (hereditary)")
-    }
-}
-
-/// Corner sub-tiles `[sw, se, nw, ne]` of a `(rows+1) × (cols+1)`
-/// super-tile, as indices into the tile table.
-fn corner_indices(super_tile: &Tile, shape: TileShape, index: TileIndex<'_>) -> [usize; 4] {
-    let sub = |r0: usize, c0: usize| -> usize {
-        index.get(&super_tile.subtile(r0, c0, shape.rows, shape.cols))
+    let k = match &found {
+        Ok(Some(a)) => a.k as u64,
+        _ => 0,
     };
-    [sub(0, 0), sub(0, 1), sub(1, 0), sub(1, 1)]
+    span.counters([attempts, usage.hits, k, usage.misses]);
+    found
 }
 
 type AssignmentFn = Box<dyn Fn(&lcl_sat::Model, usize) -> Label>;
 
 fn encode_vertex(
     solver: &mut Solver,
-    k: usize,
-    shape: TileShape,
-    tiles: &[Tile],
-    index: TileIndex<'_>,
+    n_tiles: usize,
+    east_pairs: &[[u32; 2]],
+    north_pairs: &[[u32; 2]],
     colours: u16,
 ) -> AssignmentFn {
-    let vars: Vec<Vec<Var>> = tiles
-        .iter()
+    let vars: Vec<Vec<Var>> = (0..n_tiles)
         .map(|_| solver.new_vars(colours as usize))
         .collect();
     for tv in &vars {
         let lits: Vec<Lit> = tv.iter().map(|&v| Lit::pos(v)).collect();
         exactly_one(solver, &lits);
     }
-    // Horizontally adjacent windows: super-tiles one column wider.
-    for sup in enumerate_tiles(k, TileShape::new(shape.rows, shape.cols + 1)) {
-        let left = index.get(&sup.subtile(0, 0, shape.rows, shape.cols));
-        let right = index.get(&sup.subtile(0, 1, shape.rows, shape.cols));
-        for (&mine, &theirs) in vars[left].iter().zip(&vars[right]) {
-            solver.add_clause([Lit::neg(mine), Lit::neg(theirs)]);
-        }
-    }
-    // Vertically adjacent windows: one row taller.
-    for sup in enumerate_tiles(k, TileShape::new(shape.rows + 1, shape.cols)) {
-        let bottom = index.get(&sup.subtile(0, 0, shape.rows, shape.cols));
-        let top = index.get(&sup.subtile(1, 0, shape.rows, shape.cols));
-        for (&mine, &theirs) in vars[bottom].iter().zip(&vars[top]) {
+    // Horizontally adjacent windows, then vertically adjacent ones.
+    for &[a, b] in east_pairs.iter().chain(north_pairs) {
+        for (&mine, &theirs) in vars[a as usize].iter().zip(&vars[b as usize]) {
             solver.add_clause([Lit::neg(mine), Lit::neg(theirs)]);
         }
     }
@@ -393,22 +383,18 @@ fn encode_vertex(
 
 fn encode_edge(
     solver: &mut Solver,
-    k: usize,
-    shape: TileShape,
-    tiles: &[Tile],
-    index: TileIndex<'_>,
+    n_tiles: usize,
+    corners: &[[u32; 4]],
     colours: u16,
 ) -> AssignmentFn {
     // Factored variables: east colour and north colour per tile.
-    let east: Vec<Vec<Var>> = tiles
-        .iter()
+    let east: Vec<Vec<Var>> = (0..n_tiles)
         .map(|_| solver.new_vars(colours as usize))
         .collect();
-    let north: Vec<Vec<Var>> = tiles
-        .iter()
+    let north: Vec<Vec<Var>> = (0..n_tiles)
         .map(|_| solver.new_vars(colours as usize))
         .collect();
-    for t in 0..tiles.len() {
+    for t in 0..n_tiles {
         let e: Vec<Lit> = east[t].iter().map(|&v| Lit::pos(v)).collect();
         let n: Vec<Lit> = north[t].iter().map(|&v| Lit::pos(v)).collect();
         exactly_one(solver, &e);
@@ -416,8 +402,8 @@ fn encode_edge(
     }
     // Full super-tiles: the ne corner's four incident edges must be
     // distinct: {east(ne), north(ne), east(nw), north(se)}.
-    for sup in enumerate_tiles(k, TileShape::new(shape.rows + 1, shape.cols + 1)) {
-        let [_sw, se, nw, ne] = corner_indices(&sup, shape, index);
+    for corner in corners {
+        let [_sw, se, nw, ne] = corner.map(|i| i as usize);
         let groups = [&east[ne], &north[ne], &east[nw], &north[se]];
         for i in 0..4 {
             for j in i + 1..4 {
@@ -436,17 +422,15 @@ fn encode_edge(
 
 fn encode_orientation(
     solver: &mut Solver,
-    k: usize,
-    shape: TileShape,
-    tiles: &[Tile],
-    index: TileIndex<'_>,
+    n_tiles: usize,
+    corners: &[[u32; 4]],
     x: crate::problems::XSet,
 ) -> AssignmentFn {
     // One boolean per tile and owned edge: true = "points away".
-    let east: Vec<Var> = solver.new_vars(tiles.len());
-    let north: Vec<Var> = solver.new_vars(tiles.len());
-    for sup in enumerate_tiles(k, TileShape::new(shape.rows + 1, shape.cols + 1)) {
-        let [_sw, se, nw, ne] = corner_indices(&sup, shape, index);
+    let east: Vec<Var> = solver.new_vars(n_tiles);
+    let north: Vec<Var> = solver.new_vars(n_tiles);
+    for corner in corners {
+        let [_sw, se, nw, ne] = corner.map(|i| i as usize);
         // indeg(ne) = !east(ne) + !north(ne) + east(nw) + north(se).
         let fields = [east[ne], north[ne], east[nw], north[se]];
         for mask in 0u8..16 {
@@ -468,10 +452,8 @@ fn encode_orientation(
 
 fn encode_block(
     solver: &mut Solver,
-    k: usize,
-    shape: TileShape,
-    tiles: &[Tile],
-    index: TileIndex<'_>,
+    n_tiles: usize,
+    corners: &[[u32; 4]],
     lcl: &crate::lcl::BlockLcl,
 ) -> AssignmentFn {
     let a = lcl.alphabet();
@@ -479,13 +461,13 @@ fn encode_block(
         a <= 8,
         "generic block synthesis is limited to alphabets of size ≤ 8"
     );
-    let vars: Vec<Vec<Var>> = tiles.iter().map(|_| solver.new_vars(a as usize)).collect();
+    let vars: Vec<Vec<Var>> = (0..n_tiles).map(|_| solver.new_vars(a as usize)).collect();
     for tv in &vars {
         let lits: Vec<Lit> = tv.iter().map(|&v| Lit::pos(v)).collect();
         exactly_one(solver, &lits);
     }
-    for sup in enumerate_tiles(k, TileShape::new(shape.rows + 1, shape.cols + 1)) {
-        let [sw, se, nw, ne] = corner_indices(&sup, shape, index);
+    for corner in corners {
+        let [sw, se, nw, ne] = corner.map(|i| i as usize);
         for lsw in 0..a {
             for lse in 0..a {
                 for lnw in 0..a {
@@ -593,5 +575,34 @@ mod tests {
         let algo = synthesize_auto(&p, 1).unwrap();
         let inst = GridInstance::new(4, &IdAssignment::Sequential);
         let _ = algo.run(&inst);
+    }
+
+    /// Building a tile table charges nothing to the caller's budget: a
+    /// step-budgeted synthesis over cold tables and the same synthesis
+    /// over the then-warm tables reach the same verdict after the same
+    /// steps. No other test in this binary uses these k = 1 windows, so
+    /// the first call really builds them (asserted via the tally).
+    #[test]
+    fn budgeted_verdict_and_steps_ignore_table_warmth() {
+        let p = problems::orientation(XSet::from_degrees(&[1, 3, 4]));
+        for (shape, quota, solves) in [
+            (TileShape::new(2, 3), 20, false),
+            (TileShape::new(3, 4), 1 << 40, true),
+        ] {
+            let config = SynthesisConfig { k: 1, shape };
+            let run = || {
+                let budget = Budget::steps(quota);
+                let mut usage = TableUse::default();
+                let verdict = synthesize_tallied(&p, &config, &budget, &mut usage)
+                    .map(|found| found.map(|a| a.labels));
+                (verdict, budget.steps_used(), usage.misses)
+            };
+            let (cold_verdict, cold_steps, cold_builds) = run();
+            let (warm_verdict, warm_steps, warm_builds) = run();
+            assert!(cold_builds > 0 && warm_builds == 0, "{shape}");
+            assert_eq!(matches!(cold_verdict, Ok(Some(_))), solves, "{shape}");
+            assert_eq!(cold_verdict, warm_verdict, "{shape}");
+            assert_eq!(cold_steps, warm_steps, "{shape}");
+        }
     }
 }

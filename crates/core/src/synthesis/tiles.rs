@@ -15,9 +15,16 @@
 //! §7 calibration: for `k = 1` there are exactly **16** tiles of shape
 //! 3×2 (the paper lists them), and for `k = 3` there are exactly **2079**
 //! tiles of shape 7×5.
+//!
+//! The tile set and the super-tile index lists built from it depend only
+//! on `k` and the window shape, never on the problem: `tile_tables`
+//! builds them once per process and hands out shared `TileTables`
+//! (DESIGN.md §3.2, "Shared tile tables").
 
 use lcl_sat::{Lit, SolveOutcome, Solver};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The shape of a tile window: `rows × cols` (rows run south → north).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -166,6 +173,140 @@ pub fn enumerate_tiles(k: usize, shape: TileShape) -> Vec<Tile> {
     backtrack(k, shape, &mut tile, 0, &mut ones, &mut out);
     out.sort();
     out
+}
+
+/// The shared tables for anchor spacing `k` and window `shape`: one
+/// process-wide memo entry per `(k, shape)`.
+///
+/// Single-flight: the map lock is held only to find or insert the entry,
+/// never across an enumeration; each part of the entry is a `OnceLock`,
+/// so concurrent first requests block while exactly one of them builds
+/// it.
+///
+/// # Panics
+///
+/// Panics if `k == 0`.
+pub(crate) fn tile_tables(k: usize, shape: TileShape) -> Arc<TileTables> {
+    assert!(k > 0);
+    static MEMO: Mutex<BTreeMap<(usize, usize, usize), Arc<TileTables>>> =
+        Mutex::new(BTreeMap::new());
+    // A panicking build leaves its part unset (and retried), never a
+    // half-built one, so a poisoned lock holds nothing to distrust.
+    let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(
+        memo.entry((k, shape.rows, shape.cols))
+            .or_insert_with(|| Arc::new(TileTables::new(k, shape))),
+    )
+}
+
+/// Lookups of [`TileTables`] parts: a miss is a lookup that built the
+/// part, a hit one that found it built (or waited while another thread
+/// built it).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct TableUse {
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+}
+
+/// The problem-independent tables the §7 synthesis CSP is posed over,
+/// for one `(k, shape)`; see [`tile_tables`]. Each part is built on first
+/// use. Index tuples point into [`TileTables::tiles`] and follow the
+/// sorted enumeration order of their super-tiles.
+#[derive(Debug)]
+pub(crate) struct TileTables {
+    k: usize,
+    shape: TileShape,
+    tiles: OnceLock<Arc<[Tile]>>,
+    corners: OnceLock<Vec<[u32; 4]>>,
+    east_pairs: OnceLock<Vec<[u32; 2]>>,
+    north_pairs: OnceLock<Vec<[u32; 2]>>,
+}
+
+impl TileTables {
+    fn new(k: usize, shape: TileShape) -> TileTables {
+        TileTables {
+            k,
+            shape,
+            tiles: OnceLock::new(),
+            corners: OnceLock::new(),
+            east_pairs: OnceLock::new(),
+            north_pairs: OnceLock::new(),
+        }
+    }
+
+    /// The realizable tiles, sorted: `enumerate_tiles(k, shape)`.
+    pub(crate) fn tiles(&self, usage: &mut TableUse) -> &Arc<[Tile]> {
+        lookup(&self.tiles, usage, || self.build_tiles())
+    }
+
+    /// `[sw, se, nw, ne]` corner sub-tiles of every realizable
+    /// `(rows+1) × (cols+1)` super-tile.
+    pub(crate) fn corners(&self, usage: &mut TableUse) -> &[[u32; 4]] {
+        lookup(&self.corners, usage, || {
+            self.sub_indices((1, 1), [(0, 0), (0, 1), (1, 0), (1, 1)])
+        })
+        .as_slice()
+    }
+
+    /// `[left, right]` halves of every realizable `rows × (cols+1)`
+    /// super-tile: horizontally adjacent windows.
+    pub(crate) fn east_pairs(&self, usage: &mut TableUse) -> &[[u32; 2]] {
+        lookup(&self.east_pairs, usage, || {
+            self.sub_indices((0, 1), [(0, 0), (0, 1)])
+        })
+        .as_slice()
+    }
+
+    /// `[bottom, top]` halves of every realizable `(rows+1) × cols`
+    /// super-tile: vertically adjacent windows.
+    pub(crate) fn north_pairs(&self, usage: &mut TableUse) -> &[[u32; 2]] {
+        lookup(&self.north_pairs, usage, || {
+            self.sub_indices((1, 0), [(0, 0), (1, 0)])
+        })
+        .as_slice()
+    }
+
+    fn build_tiles(&self) -> Arc<[Tile]> {
+        enumerate_tiles(self.k, self.shape).into()
+    }
+
+    /// For every realizable super-tile `grow` rows and columns larger
+    /// than the window, the indices of its window-sized sub-tiles at the
+    /// given south-west offsets.
+    fn sub_indices<const N: usize>(
+        &self,
+        grow: (usize, usize),
+        offsets: [(usize, usize); N],
+    ) -> Vec<[u32; N]> {
+        let tiles = self.tiles.get_or_init(|| self.build_tiles());
+        let TileShape { rows, cols } = self.shape;
+        let index = |sub: Tile| {
+            tiles
+                .binary_search(&sub)
+                .expect("sub-tile of a realizable tile is realizable (hereditary)")
+                as u32
+        };
+        enumerate_tiles(self.k, TileShape::new(rows + grow.0, cols + grow.1))
+            .iter()
+            .map(|sup| offsets.map(|(r0, c0)| index(sup.subtile(r0, c0, rows, cols))))
+            .collect()
+    }
+}
+
+/// Reads `cell`, building it with `build` if this is the first lookup,
+/// and records the hit or miss.
+fn lookup<'a, T>(cell: &'a OnceLock<T>, usage: &mut TableUse, build: impl FnOnce() -> T) -> &'a T {
+    let mut built = false;
+    let value = cell.get_or_init(|| {
+        built = true;
+        build()
+    });
+    if built {
+        usage.misses += 1;
+    } else {
+        usage.hits += 1;
+    }
+    value
 }
 
 /// Recursive candidate generation with independence pruning; candidates
@@ -375,5 +516,94 @@ mod tests {
         let sub = t.subtile(1, 1, 2, 3);
         // Rows 1..3, cols 1..4 of t: north row "001", south row "100".
         assert_eq!(sub, Tile::parse(&["001", "100"]));
+    }
+
+    /// The memo hands out exactly what the builder computes, for every
+    /// `(k, shape)` `synthesize_auto` reaches up to k = 2: the tile list
+    /// is `enumerate_tiles`, and every index tuple names the sub-tiles of
+    /// the matching super-tile, in super-tile enumeration order.
+    #[test]
+    fn memo_tables_match_the_builder() {
+        fn check<const N: usize>(
+            tiles: &[Tile],
+            k: usize,
+            shape: TileShape,
+            grow: (usize, usize),
+            offsets: [(usize, usize); N],
+            stored: &[[u32; N]],
+        ) {
+            let supers =
+                enumerate_tiles(k, TileShape::new(shape.rows + grow.0, shape.cols + grow.1));
+            assert_eq!(
+                stored.len(),
+                supers.len(),
+                "k={k} {shape} grown by {grow:?}"
+            );
+            for (sup, tuple) in supers.iter().zip(stored) {
+                for (&(r0, c0), &i) in offsets.iter().zip(tuple) {
+                    let sub = sup.subtile(r0, c0, shape.rows, shape.cols);
+                    assert_eq!(tiles.binary_search(&sub), Ok(i as usize));
+                }
+            }
+        }
+        let usage = &mut TableUse::default();
+        for (k, rows, cols) in [(1, 3, 2), (1, 3, 3), (2, 5, 3), (2, 5, 5)] {
+            let shape = TileShape::new(rows, cols);
+            let tables = tile_tables(k, shape);
+            let tiles = tables.tiles(usage);
+            assert_eq!(**tiles, *enumerate_tiles(k, shape));
+            let corners = tables.corners(usage);
+            check(
+                tiles,
+                k,
+                shape,
+                (1, 1),
+                [(0, 0), (0, 1), (1, 0), (1, 1)],
+                corners,
+            );
+            check(
+                tiles,
+                k,
+                shape,
+                (0, 1),
+                [(0, 0), (0, 1)],
+                tables.east_pairs(usage),
+            );
+            check(
+                tiles,
+                k,
+                shape,
+                (1, 0),
+                [(0, 0), (1, 0)],
+                tables.north_pairs(usage),
+            );
+            assert!(Arc::ptr_eq(tiles, tile_tables(k, shape).tiles(usage)));
+        }
+    }
+
+    /// Single-flight: four threads asking for one cold key at once share
+    /// one build. (No other test touches k = 2, 4×4.)
+    #[test]
+    fn concurrent_cold_requests_share_one_build() {
+        let barrier = std::sync::Barrier::new(4);
+        let results: Vec<(Arc<[Tile]>, TableUse)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let mut usage = TableUse::default();
+                        let tables = tile_tables(2, TileShape::new(4, 4));
+                        (Arc::clone(tables.tiles(&mut usage)), usage)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (tiles, _) in &results {
+            assert!(Arc::ptr_eq(tiles, &results[0].0));
+        }
+        let misses: u64 = results.iter().map(|(_, u)| u.misses).sum();
+        let hits: u64 = results.iter().map(|(_, u)| u.hits).sum();
+        assert_eq!((misses, hits), (1, 3));
     }
 }

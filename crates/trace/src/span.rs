@@ -92,7 +92,9 @@ impl SpanKind {
             SpanKind::Prepare => ["cache_hit", "c1", "c2", "c3"],
             SpanKind::Tier => ["outcome", "c1", "c2", "c3"],
             SpanKind::Sat => ["decisions", "propagations", "conflicts", "learned"],
-            SpanKind::Synthesis => ["attempts", "origin", "k", "c3"],
+            // Slot 1 is the synthesis-cache mark's origin and the
+            // synthesize-auto span's tile-table hits.
+            SpanKind::Synthesis => ["attempts", "origin|table_hits", "k", "table_misses"],
             SpanKind::Simulator => ["rounds", "nodes", "c2", "c3"],
             SpanKind::Dedup => ["hit", "poisoned", "c2", "c3"],
             _ => ["c0", "c1", "c2", "c3"],
