@@ -246,12 +246,7 @@ fn jk_independent(
         Dim::Rows => torus.offset(p, 1, 0),
         Dim::Cols => torus.offset(p, 0, 1),
     };
-    let crowded = |occ: &[bool], p: Pos| {
-        torus
-            .ball(Metric::Linf, p, 2 * k)
-            .into_iter()
-            .any(|q| occ[torus.index(q)])
-    };
+    let crowded = |occ: &[bool], p: Pos| torus.any_in_ball(Metric::Linf, p, 2 * k, |i| occ[i]);
     let mut phase_colours: Vec<u64> = members
         .iter()
         .map(|&m| reduction.colours[torus.index(m)])

@@ -25,6 +25,8 @@ pub mod corner;
 pub mod ddim;
 pub mod edge_colouring;
 pub mod four_colouring;
+#[cfg(test)]
+mod golden;
 pub mod orientations;
 
 use std::fmt;

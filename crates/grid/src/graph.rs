@@ -238,21 +238,18 @@ impl Graph for Power2 {
     }
 
     fn for_each_neighbour(&self, v: usize, f: &mut dyn FnMut(usize)) {
-        let p = self.torus.pos(v);
-        for q in self.torus.ball(self.metric, p, self.k) {
-            let i = self.torus.index(q);
-            if i != v {
-                f(i);
-            }
-        }
+        self.torus
+            .for_each_in_ball(self.metric, self.torus.pos(v), self.k, f);
     }
 
-    fn degree(&self, v: usize) -> usize {
-        self.torus.ball_offsets(self.metric, self.k).len().min(
-            self.torus
-                .ball(self.metric, self.torus.pos(v), self.k)
-                .len(),
-        )
+    /// The ball size: the torus is vertex-transitive, so every node has
+    /// the same degree, computed without enumerating the ball.
+    fn degree(&self, _v: usize) -> usize {
+        self.torus.ball_len(self.metric, self.k)
+    }
+
+    fn max_degree(&self) -> usize {
+        self.torus.ball_len(self.metric, self.k)
     }
 }
 
@@ -455,6 +452,34 @@ mod tests {
         // Degree of G^(2) is 2·2·3 = 12.
         assert_eq!(p.degree(0), 12);
         assert!(symmetric(&p));
+    }
+
+    #[test]
+    fn power_graph_walk_matches_ball_and_degree_is_closed_form() {
+        for (w, h) in [(3, 3), (6, 6), (8, 5), (12, 12)] {
+            let t = Torus2::rect(w, h);
+            for metric in [Metric::L1, Metric::Linf] {
+                // k from 1 past the point where 2k ≥ side.
+                for k in 1..=w.max(h) / 2 + 2 {
+                    let p = Power2::new(t, metric, k);
+                    let mut scanned_max = 0;
+                    for v in 0..Graph::node_count(&p) {
+                        let expect: Vec<usize> = t
+                            .ball(metric, t.pos(v), k)
+                            .into_iter()
+                            .map(|q| t.index(q))
+                            .collect();
+                        assert_eq!(p.neighbours_vec(v), expect, "{w}x{h} {metric:?} k={k}");
+                        let mut count = 0;
+                        p.for_each_neighbour(v, &mut |_| count += 1);
+                        assert_eq!(p.degree(v), count);
+                        scanned_max = scanned_max.max(count);
+                    }
+                    assert_eq!(p.max_degree(), scanned_max);
+                    assert!(symmetric(&p));
+                }
+            }
+        }
     }
 
     #[test]

@@ -193,90 +193,146 @@ impl Torus2 {
         ]
     }
 
-    /// All *offsets* `(dx, dy)` with `0 < |dx| + |dy| ≤ k` — the punctured
-    /// radius-`k` L1 ball. Offsets are clipped to be distinct on this torus
-    /// (relevant when `2k + 1` exceeds a side length).
+    /// All *offsets* `(dx, dy)` at distance `1..=k` in the given metric —
+    /// the punctured radius-`k` ball. Offsets are clipped to be distinct on
+    /// this torus (relevant when `2k + 1` exceeds a side length), in the
+    /// order of [`Torus2::for_each_in_ball`].
     pub fn ball_offsets(&self, metric: Metric, k: usize) -> Vec<(i64, i64)> {
-        let k = k as i64;
-        let mut out = Vec::new();
-        // Enumerate canonical representatives so each *node* of the ball
-        // appears exactly once even when the ball wraps around the torus.
-        let w = self.width as i64;
-        let h = self.height as i64;
-        let xr = half_range(k, w);
-        let yr = half_range(k, h);
-        for dy in -yr.0..=yr.1 {
-            for dx in -xr.0..=xr.1 {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                let d = match metric {
-                    Metric::L1 => self.norm1d(dx, self.width) + self.norm1d(dy, self.height),
-                    Metric::Linf => self
-                        .norm1d(dx, self.width)
-                        .max(self.norm1d(dy, self.height)),
-                };
-                if d as i64 <= k {
-                    out.push((dx, dy));
-                }
-            }
-        }
+        let mut out = Vec::with_capacity(self.ball_len(metric, k));
+        self.walk_ball(metric, Pos::new(0, 0), k, |dx, dy, _| {
+            out.push((dx, dy));
+            false
+        });
         out
     }
 
-    /// The nodes at distance `1..=k` from `p` in the given metric.
+    /// The nodes at distance `1..=k` from `p` in the given metric, in the
+    /// order of [`Torus2::for_each_in_ball`].
     pub fn ball(&self, metric: Metric, p: Pos, k: usize) -> Vec<Pos> {
-        self.ball_offsets(metric, k)
-            .into_iter()
-            .map(|(dx, dy)| self.offset(p, dx, dy))
-            .collect()
+        let mut out = Vec::with_capacity(self.ball_len(metric, k));
+        self.for_each_in_ball(metric, p, k, |i| out.push(self.pos(i)));
+        out
+    }
+
+    /// Calls `f` with the index of every node at distance `1..=k` from `p`
+    /// in the given metric, without allocating.
+    ///
+    /// Nodes come in [`Torus2::ball_offsets`] order: rows `dy` ascending,
+    /// then columns `dx` ascending, over one canonical window of offsets
+    /// per side, so each node of a wrapping ball is visited exactly once.
+    pub fn for_each_in_ball(&self, metric: Metric, p: Pos, k: usize, mut f: impl FnMut(usize)) {
+        self.walk_ball(metric, p, k, |_, _, i| {
+            f(i);
+            false
+        });
+    }
+
+    /// True iff `hit` holds for some node at distance `1..=k` from `p`.
+    /// Visits nodes in [`Torus2::for_each_in_ball`] order and stops at
+    /// the first hit.
+    pub fn any_in_ball(
+        &self,
+        metric: Metric,
+        p: Pos,
+        k: usize,
+        mut hit: impl FnMut(usize) -> bool,
+    ) -> bool {
+        self.walk_ball(metric, p, k, |_, _, i| hit(i))
+    }
+
+    /// Number of nodes at distance `1..=k` from any node — the degree of
+    /// the power graph. The torus is vertex-transitive, so it does not
+    /// depend on the node.
+    pub(crate) fn ball_len(&self, metric: Metric, k: usize) -> usize {
+        let (xneg, xpos) = half_range(k, self.width);
+        let (yneg, ypos) = half_range(k, self.height);
+        let cells = match metric {
+            Metric::Linf => (xneg + xpos + 1) * (yneg + ypos + 1),
+            Metric::L1 => (0..=yneg)
+                .chain(1..=ypos)
+                .map(|ady| {
+                    let r = k - ady;
+                    xneg.min(r) + xpos.min(r) + 1
+                })
+                .sum(),
+        };
+        cells - 1
+    }
+
+    /// The one ball enumeration: calls `visit(dx, dy, index)` for every
+    /// node at distance `1..=k` from `p` until it returns true; returns
+    /// whether it did.
+    ///
+    /// Inside the canonical window `[-neg, pos]` of [`half_range`] the
+    /// toroidal norm of an offset is its absolute value, so the L∞ test
+    /// always passes and the L1 test is `|dx| + |dy| ≤ k`, which narrows
+    /// each row's column range. Coordinates wrap by comparison.
+    #[inline]
+    fn walk_ball(
+        &self,
+        metric: Metric,
+        p: Pos,
+        k: usize,
+        mut visit: impl FnMut(i64, i64, usize) -> bool,
+    ) -> bool {
+        let (w, h) = (self.width, self.height);
+        let (xneg, xpos) = half_range(k, w);
+        let (yneg, ypos) = half_range(k, h);
+        let mut y = if p.y >= yneg {
+            p.y - yneg
+        } else {
+            p.y + h - yneg
+        };
+        for dy in -(yneg as i64)..=ypos as i64 {
+            let (lo, hi) = match metric {
+                Metric::Linf => (xneg, xpos),
+                Metric::L1 => {
+                    let r = k - dy.unsigned_abs() as usize;
+                    (xneg.min(r), xpos.min(r))
+                }
+            };
+            let row = y * w;
+            let mut x = if p.x >= lo { p.x - lo } else { p.x + w - lo };
+            for dx in -(lo as i64)..=hi as i64 {
+                if (dx != 0 || dy != 0) && visit(dx, dy, row + x) {
+                    return true;
+                }
+                x += 1;
+                if x == w {
+                    x = 0;
+                }
+            }
+            y += 1;
+            if y == h {
+                y = 0;
+            }
+        }
+        false
     }
 
     /// Checks that a set of marked nodes is an independent set of the
     /// `metric`-power `G^k`: no two marked nodes at distance `≤ k`.
     pub fn is_independent(&self, metric: Metric, k: usize, marked: &[bool]) -> bool {
         assert_eq!(marked.len(), self.node_count());
-        for i in 0..marked.len() {
-            if !marked[i] {
-                continue;
-            }
-            let p = self.pos(i);
-            for q in self.ball(metric, p, k) {
-                if marked[self.index(q)] {
-                    return false;
-                }
-            }
-        }
-        true
+        (0..marked.len())
+            .filter(|&i| marked[i])
+            .all(|i| !self.any_in_ball(metric, self.pos(i), k, |j| marked[j]))
     }
 
     /// Checks that a set of marked nodes is a *maximal* independent set of
     /// the `metric`-power `G^k`: independent, and every unmarked node has a
     /// marked node within distance `k`.
     pub fn is_maximal_independent(&self, metric: Metric, k: usize, marked: &[bool]) -> bool {
-        if !self.is_independent(metric, k, marked) {
-            return false;
-        }
-        for i in 0..marked.len() {
-            if marked[i] {
-                continue;
-            }
-            let p = self.pos(i);
-            let dominated = self
-                .ball(metric, p, k)
-                .into_iter()
-                .any(|q| marked[self.index(q)]);
-            if !dominated {
-                return false;
-            }
-        }
-        true
+        self.is_independent(metric, k, marked)
+            && (0..marked.len())
+                .filter(|&i| !marked[i])
+                .all(|i| self.any_in_ball(metric, self.pos(i), k, |j| marked[j]))
     }
 }
 
 /// Largest symmetric range `(neg, pos)` of offsets that stay distinct on a
 /// side of length `n` while covering radius `k`.
-fn half_range(k: i64, n: i64) -> (i64, i64) {
+fn half_range(k: usize, n: usize) -> (usize, usize) {
     if 2 * k < n {
         (k, k)
     } else {
@@ -349,6 +405,73 @@ mod tests {
         seen.sort();
         seen.dedup();
         assert_eq!(seen.len(), 8);
+    }
+
+    /// The ball as first defined: every offset of the canonical window,
+    /// kept iff its toroidal distance is at most `k`.
+    fn reference_ball_offsets(t: &Torus2, metric: Metric, k: usize) -> Vec<(i64, i64)> {
+        let (xn, xp) = half_range(k, t.width());
+        let (yn, yp) = half_range(k, t.height());
+        let mut out = Vec::new();
+        for dy in -(yn as i64)..=yp as i64 {
+            for dx in -(xn as i64)..=xp as i64 {
+                let (nx, ny) = (t.norm1d(dx, t.width()), t.norm1d(dy, t.height()));
+                let d = match metric {
+                    Metric::L1 => nx + ny,
+                    Metric::Linf => nx.max(ny),
+                };
+                if (dx, dy) != (0, 0) && d <= k {
+                    out.push((dx, dy));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn ball_walk_matches_reference_enumeration() {
+        for (w, h) in [(1, 1), (2, 5), (5, 5), (6, 6), (7, 4), (9, 13), (16, 16)] {
+            let t = Torus2::rect(w, h);
+            for metric in [Metric::L1, Metric::Linf] {
+                // Up to the point where the ball wraps both sides.
+                for k in 1..=w.max(h) + 1 {
+                    let offsets = reference_ball_offsets(&t, metric, k);
+                    assert_eq!(
+                        t.ball_offsets(metric, k),
+                        offsets,
+                        "{w}x{h} {metric:?} k={k}"
+                    );
+                    assert_eq!(t.ball_len(metric, k), offsets.len());
+                    for i in [0, t.node_count() / 2, t.node_count() - 1] {
+                        let p = t.pos(i);
+                        let expect: Vec<usize> = offsets
+                            .iter()
+                            .map(|&(dx, dy)| t.index(t.offset(p, dx, dy)))
+                            .collect();
+                        let mut walked = Vec::new();
+                        t.for_each_in_ball(metric, p, k, |j| walked.push(j));
+                        assert_eq!(walked, expect, "{w}x{h} {metric:?} k={k} at {p}");
+                        let ball: Vec<usize> = t
+                            .ball(metric, p, k)
+                            .into_iter()
+                            .map(|q| t.index(q))
+                            .collect();
+                        assert_eq!(ball, expect);
+                        // The early-exit form stops exactly at the first hit.
+                        if let Some(&last) = expect.last() {
+                            let mut seen = 0;
+                            assert!(t.any_in_ball(metric, p, k, |j| {
+                                seen += 1;
+                                j == expect[0]
+                            }));
+                            assert_eq!(seen, 1);
+                            assert!(t.any_in_ball(metric, p, k, |j| j == last));
+                        }
+                        assert!(!t.any_in_ball(metric, p, k, |_| false));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -147,12 +147,12 @@ pub fn linial_colour<G: Graph>(graph: &G, ids: &[u64]) -> ColourReduction {
     let mut colours: Vec<u64> = ids.to_vec();
 
     let mut steps = 0u64;
+    let mut nbr_colours = Vec::with_capacity(max_degree as usize);
     while let Some((q, d)) = choose_params(palette, max_degree) {
         let mut next = vec![0u64; colours.len()];
         for v in 0..graph.node_count() {
             let cv = colours[v];
-            // Collect neighbour colours.
-            let mut nbr_colours = Vec::with_capacity(max_degree as usize);
+            nbr_colours.clear();
             graph.for_each_neighbour(v, &mut |u| nbr_colours.push(colours[u]));
             debug_assert!(
                 nbr_colours.iter().all(|&cu| cu != cv),
@@ -202,32 +202,43 @@ pub fn kw_reduce<G: Graph>(graph: &G, reduction: ColourReduction) -> ColourReduc
     let mut colours = reduction.colours;
     let mut palette = reduction.palette;
     let mut rounds = reduction.rounds;
+    // The nodes to recolour, bucketed by in-group index `target + i`.
+    let mut classes: Vec<Vec<usize>> = vec![Vec::new(); target as usize];
+    let mut used = vec![false; target as usize];
     while palette > target {
         let group_size = 2 * target;
         let groups = palette.div_ceil(group_size);
+        classes.iter_mut().for_each(Vec::clear);
+        for (v, &c) in colours.iter().enumerate() {
+            if c % group_size >= target {
+                classes[(c % group_size - target) as usize].push(v);
+            }
+        }
         // Within each group, colours [0, target) keep their index; the
-        // rest are recoloured one class at a time.
-        for class in target..group_size {
-            // All nodes whose in-group index equals `class` recolour
-            // simultaneously (they form an independent set within each
-            // group because the colouring is proper).
-            let snapshot = colours.clone();
-            for v in 0..graph.node_count() {
-                let (g, idx) = (snapshot[v] / group_size, snapshot[v] % group_size);
-                if idx != class {
-                    continue;
-                }
-                let mut used = vec![false; target as usize];
+        // rest are recoloured one class at a time, all nodes of a class at
+        // once. A neighbour counts iff its colour lies in the low half
+        // `[base, base + target)` of the node's group.
+        //
+        // The update is in place, and equals recolouring from a snapshot
+        // taken at the start of the round: two nodes of one class and one
+        // group have the same colour, so a proper colouring never makes
+        // them adjacent, and a node recoloured in this round in any other
+        // group lies outside the low half the node reads.
+        for class in &classes {
+            for &v in class {
+                let base = colours[v] - colours[v] % group_size;
+                used.fill(false);
                 graph.for_each_neighbour(v, &mut |u| {
-                    let (gu, iu) = (snapshot[u] / group_size, snapshot[u] % group_size);
-                    if gu == g && iu < target {
-                        used[iu as usize] = true;
+                    let low = colours[u].wrapping_sub(base);
+                    if low < target {
+                        used[low as usize] = true;
                     }
                 });
-                let free = (0..target)
-                    .find(|&c| !used[c as usize])
+                let free = used
+                    .iter()
+                    .position(|&taken| !taken)
                     .expect("a group holds at most Δ in-group neighbours");
-                colours[v] = g * group_size + free;
+                colours[v] = base + free as u64;
             }
             rounds.charge("kw-reduction", 1);
         }
@@ -366,6 +377,82 @@ mod tests {
         let r = crate::colour_delta_plus_one(&p, &ids);
         assert_proper(&p, &r.colours);
         assert_eq!(r.palette, p.max_degree() as u64 + 1);
+    }
+
+    /// Kuhn–Wattenhofer as first written: every class round recolours
+    /// from a full snapshot of the colouring, scanning all nodes.
+    fn reference_kw_reduce<G: Graph>(graph: &G, reduction: ColourReduction) -> ColourReduction {
+        let delta = graph.max_degree() as u64;
+        let target = delta + 1;
+        let mut colours = reduction.colours;
+        let mut palette = reduction.palette;
+        let mut rounds = reduction.rounds;
+        while palette > target {
+            let group_size = 2 * target;
+            let groups = palette.div_ceil(group_size);
+            for class in target..group_size {
+                let snapshot = colours.clone();
+                for v in 0..graph.node_count() {
+                    let (g, idx) = (snapshot[v] / group_size, snapshot[v] % group_size);
+                    if idx != class {
+                        continue;
+                    }
+                    let mut used = vec![false; target as usize];
+                    graph.for_each_neighbour(v, &mut |u| {
+                        let (gu, iu) = (snapshot[u] / group_size, snapshot[u] % group_size);
+                        if gu == g && iu < target {
+                            used[iu as usize] = true;
+                        }
+                    });
+                    let free = (0..target).find(|&c| !used[c as usize]).unwrap();
+                    colours[v] = g * group_size + free;
+                }
+                rounds.charge("kw-reduction", 1);
+            }
+            for c in colours.iter_mut() {
+                *c = (*c / group_size) * target + *c % group_size;
+            }
+            palette = groups * target;
+        }
+        ColourReduction {
+            colours,
+            palette,
+            rounds,
+        }
+    }
+
+    fn assert_kw_matches_reference<G: Graph>(graph: &G, seed: u64, what: &str) {
+        let ids = IdAssignment::Shuffled { seed }.materialise(graph.node_count());
+        let linial = linial_colour(graph, &ids);
+        let got = kw_reduce(graph, linial.clone());
+        let expect = reference_kw_reduce(graph, linial);
+        assert_eq!(got.colours, expect.colours, "{what}");
+        assert_eq!(got.palette, expect.palette, "{what}");
+        assert_eq!(got.rounds.phases(), expect.rounds.phases(), "{what}");
+        assert_proper(graph, &got.colours);
+    }
+
+    #[test]
+    fn bucketed_kw_matches_snapshot_reference() {
+        use crate::CyclePower;
+        use lcl_grid::Metric;
+        for n in [3, 10, 101] {
+            assert_kw_matches_reference(&CycleGraph::new(n), n as u64, &format!("cycle {n}"));
+            for k in [1, 2, n / 2] {
+                let g = CyclePower::new(CycleGraph::new(n), k);
+                assert_kw_matches_reference(&g, 7, &format!("cycle {n} power {k}"));
+            }
+        }
+        for (w, h) in [(3, 3), (12, 12), (9, 5)] {
+            assert_kw_matches_reference(&Torus2::rect(w, h), 3, &format!("torus {w}x{h}"));
+        }
+        // Powers at small k, and at k where the ball wraps the torus.
+        for (w, h, k) in [(16, 16, 2), (12, 12, 3), (10, 10, 5), (9, 6, 4), (5, 5, 7)] {
+            for metric in [Metric::L1, Metric::Linf] {
+                let g = Power2::new(Torus2::rect(w, h), metric, k);
+                assert_kw_matches_reference(&g, 11, &format!("{w}x{h} {metric:?} k={k}"));
+            }
+        }
     }
 
     #[test]

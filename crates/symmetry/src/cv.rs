@@ -117,6 +117,18 @@ impl CyclePower {
     pub fn k(&self) -> usize {
         self.k
     }
+
+    /// Largest step taken in both directions without meeting itself.
+    fn reach(&self) -> usize {
+        self.k.min((self.cycle.len() - 1) / 2)
+    }
+
+    /// If `2k+1 > n` the ball wraps; on even cycles the antipodal node is
+    /// then a neighbour that the two-sided steps do not cover.
+    fn has_antipode(&self) -> bool {
+        let n = self.cycle.len();
+        n.is_multiple_of(2) && self.k >= n / 2
+    }
 }
 
 impl Graph for CyclePower {
@@ -125,17 +137,23 @@ impl Graph for CyclePower {
     }
 
     fn for_each_neighbour(&self, v: usize, f: &mut dyn FnMut(usize)) {
-        let n = self.cycle.len();
-        let reach = self.k.min((n - 1) / 2);
-        for step in 1..=reach as i64 {
+        for step in 1..=self.reach() as i64 {
             f(self.cycle.offset(v, step));
             f(self.cycle.offset(v, -step));
         }
-        // If 2k+1 > n the ball wraps; cover the remaining antipodal node
-        // on even cycles.
-        if 2 * reach + 1 < n && self.k >= n / 2 && n.is_multiple_of(2) {
-            f(self.cycle.offset(v, (n / 2) as i64));
+        if self.has_antipode() {
+            f(self.cycle.offset(v, (self.cycle.len() / 2) as i64));
         }
+    }
+
+    /// `2·reach`, plus the antipode: the cycle is vertex-transitive, so
+    /// every node has this degree.
+    fn degree(&self, _v: usize) -> usize {
+        2 * self.reach() + usize::from(self.has_antipode())
+    }
+
+    fn max_degree(&self) -> usize {
+        self.degree(0)
     }
 }
 
@@ -190,6 +208,23 @@ mod tests {
         let nbrs = p.neighbours_vec(0);
         let expect: Vec<usize> = vec![1, 9, 2, 8, 3, 7];
         assert_eq!(nbrs, expect);
+    }
+
+    #[test]
+    fn cycle_power_degree_is_closed_form() {
+        for n in 3..=12 {
+            for k in 1..=n {
+                let p = CyclePower::new(CycleGraph::new(n), k);
+                let mut scanned_max = 0;
+                for v in 0..n {
+                    let mut count = 0;
+                    p.for_each_neighbour(v, &mut |_| count += 1);
+                    assert_eq!(p.degree(v), count, "n={n} k={k}");
+                    scanned_max = scanned_max.max(count);
+                }
+                assert_eq!(p.max_degree(), scanned_max);
+            }
+        }
     }
 
     #[test]
