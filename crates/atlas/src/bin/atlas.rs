@@ -171,7 +171,7 @@ fn main() -> ExitCode {
             .collect();
         let bench = format!(
             "{{\n  \"bench\": \"atlas\",\n  \"threads\": {},\n  \"cores\": {},\n  \"max_alphabet\": {},\n  \"problems\": {},\n  \"fresh\": {},\n  \"candidates\": {},\n  \"dedup_ratio\": \"{}\",\n  \"elapsed_s\": {elapsed_s:.3},\n  \"problems_per_s\": {rate:.1},\n  \"solve_us\": {},\n  \"sat_decisions\": {},\n  \"sat_propagations\": {},\n  \"sat_conflicts\": {},\n  \"tier_mix\": {{\n{}\n  }}\n}}\n",
-            cfg.threads,
+            stats.threads,
             std::thread::available_parallelism().map_or(1, usize::from),
             cfg.frontier.max_alphabet,
             outcome.atlas.len(),

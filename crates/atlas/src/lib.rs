@@ -11,10 +11,11 @@
 //!   dihedral symmetries of the 2×2 window, and dead labels, so each
 //!   equivalence class is visited exactly once
 //!   ([`lcl_core::canonical`]).
-//! - [`pipeline`] — mass classification through
-//!   [`Engine::solve_stream`](lcl_grids::Engine::solve_stream) with a
-//!   fresh per-problem step budget per job (pathological SAT instances
-//!   become a typed `timeout` verdict, never a hang), plus an
+//! - [`pipeline`] — mass classification on the engine's stream workers
+//!   ([`Engine::stream_map`](lcl_grids::Engine::stream_map)), each
+//!   problem classified whole on one worker with fresh step budgets
+//!   (pathological SAT instances become a typed `timeout` verdict,
+//!   never a hang), plus an
 //!   append-only JSON-lines checkpoint journal: kill the process, rerun
 //!   with the same journal, and the finished artifact is byte-identical.
 //! - [`artifact`] — the on-disk census format (`fixtures/atlas/`): a

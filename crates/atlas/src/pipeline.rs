@@ -1,20 +1,27 @@
 //! The mass-classification pipeline: enumerator → streaming engine →
 //! journal → artifact.
 //!
-//! A census run drives one [`Job`] per canonical problem through
-//! [`Engine::solve_stream`] on the shared multi-thread engine. Each job
-//! carries its **own** fresh step budget ([`Job::with_budget`]), so a
-//! pathological SAT instance burns only its own quota and surfaces as a
-//! typed `timeout` verdict — never a hang, never a skipped record, and
-//! never a budget smeared across unrelated problems. After the solve,
-//! the consumer classifies the problem (`classify_with`) and probes
-//! odd-side solvability. Classification runs the synthesis itself, on
-//! the consumer thread: the solve never synthesises at the default
-//! `even_side` 4, because the `synthesised-tiles` tier needs a side of
-//! at least 5 even at k = 1 (a 3×2 window plus its `S_k` frame), so
-//! there is no memoised outcome to hit. What the solves and the
-//! classifications do share is the process-wide tile-table memo
-//! (`lcl_core::synthesis`), built once per `(k, shape)`.
+//! A census run streams one unit of work per canonical problem through
+//! [`Engine::stream_map`] on the shared multi-thread engine. The whole
+//! unit runs on an engine worker: prepare, the even-side solve, the
+//! classification (`classify_with`) and the odd-side solvability probe,
+//! ending in a [`Record`]. The consumer thread only journals, reports
+//! progress and collects. The solve and the classification each get a
+//! **fresh** step budget, so a pathological SAT instance burns only its
+//! own quota and surfaces as a typed `timeout` verdict — never a hang,
+//! never a skipped record, and never a budget smeared across unrelated
+//! problems. Classification runs the synthesis itself: the solve never
+//! synthesises at the default `even_side` 4, because the
+//! `synthesised-tiles` tier needs a side of at least 5 even at k = 1 (a
+//! 3×2 window plus its `S_k` frame). What the workers share is the
+//! process-wide tile-table memo (`lcl_core::synthesis`), built once per
+//! `(k, shape)`.
+//!
+//! Records stay deterministic under any thread count: a record is a
+//! function of (problem, census config) only, each unit starts from
+//! fresh budgets, `solve_with` drains the worker's thread-local SAT
+//! ledger before it walks (so a previous unit's classify never bills
+//! this record's `sat`), and records are re-sorted by input index.
 //!
 //! # Checkpoint journal
 //!
@@ -31,14 +38,14 @@
 use crate::artifact::{Atlas, Header, Record, Verdict};
 use crate::enumerate::{count_problems, enumerate, Frontier};
 use crate::AtlasError;
-use lcl_grids::engine::{Budget, JobOutcome};
+use lcl_grids::engine::{Budget, StreamPanic};
 use lcl_grids::local::IdAssignment;
-use lcl_grids::{Engine, Instance, Job, PreparedProblem, ProblemSpec, SolveError};
+use lcl_grids::{Engine, Instance, ProblemSpec, SolveError};
 use lcl_trace::SolverCost;
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Knobs for one census run.
@@ -111,6 +118,9 @@ pub struct CensusStats {
     pub solve_us: u64,
     /// Wall time of the whole run.
     pub elapsed: std::time::Duration,
+    /// Engine worker threads that ran the census (the engine's
+    /// `threads` setting, resolved).
+    pub threads: usize,
 }
 
 /// A finished census: the atlas (header + records) plus run stats.
@@ -129,12 +139,6 @@ struct SpecJob {
     blocks: u32,
     table: Option<String>,
     orbit: Option<u64>,
-}
-
-/// A job that has been handed to the engine and awaits its outcome.
-struct Pending {
-    job: SpecJob,
-    prepared: Arc<PreparedProblem>,
 }
 
 /// Classifies every problem of `frontier` that the journal has not
@@ -249,6 +253,7 @@ pub fn run_census(
             sat: agg.sat,
             solve_us: agg.solve_us,
             elapsed: start.elapsed(),
+            threads: agg.threads,
         },
     })
 }
@@ -257,11 +262,12 @@ pub fn run_census(
 struct RunAgg {
     sat: SolverCost,
     solve_us: u64,
+    threads: usize,
 }
 
-/// Streams `jobs` through the engine, building one record per job.
-/// `on_record` sees every record as soon as it is finished (journal
-/// append, progress) before it is collected.
+/// Streams `jobs` through the engine, building one record per job on
+/// the workers. `on_record` sees every record as soon as it is finished
+/// (journal append, progress) before it is collected.
 fn run_jobs(
     engine: &Arc<Engine>,
     jobs: impl Iterator<Item = SpecJob> + Send + 'static,
@@ -269,59 +275,26 @@ fn run_jobs(
     agg: &mut RunAgg,
     mut on_record: impl FnMut(&Record) -> Result<(), AtlasError>,
 ) -> Result<Vec<Record>, AtlasError> {
-    let pending: Arc<Mutex<HashMap<u64, Pending>>> = Arc::new(Mutex::new(HashMap::new()));
-    let failed: Arc<Mutex<Option<SolveError>>> = Arc::new(Mutex::new(None));
-    let step_budget = options.step_budget;
-    let even_side = options.even_side;
-    let odd_side = options.odd_side;
-
-    let source = {
+    let work = {
         let engine = Arc::clone(engine);
-        let pending = Arc::clone(&pending);
-        let failed = Arc::clone(&failed);
-        let mut jobs = jobs;
-        let mut ordinal = 0u64;
-        std::iter::from_fn(move || {
-            let spec_job = jobs.next()?;
-            let prepared = match engine.prepare(&spec_job.spec) {
-                Ok(prepared) => prepared,
-                Err(e) => {
-                    // Stop the stream; the consumer surfaces the error
-                    // after draining what is already in flight.
-                    *lock(&failed) = Some(e);
-                    return None;
-                }
-            };
-            let instance = Instance::square(even_side, &IdAssignment::Sequential);
-            let mut job = Job::new(Arc::clone(&prepared), instance);
-            if step_budget > 0 {
-                job = job.with_budget(Budget::steps(step_budget));
-            }
-            let index = ordinal;
-            ordinal += 1;
-            lock(&pending).insert(
-                index,
-                Pending {
-                    job: spec_job,
-                    prepared,
-                },
-            );
-            Some(job)
-        })
+        let (step_budget, even_side, odd_side) =
+            (options.step_budget, options.even_side, options.odd_side);
+        move |job| build_record(&engine, job, step_budget, even_side, odd_side)
     };
-
+    let stream = engine.stream_map(jobs, work);
+    agg.threads = stream.threads();
     let mut records = Vec::new();
-    for outcome in engine.solve_stream(source) {
-        let index = outcome.index;
-        let pending_job = lock(&pending).remove(&index).ok_or_else(|| {
-            AtlasError::Invariant(format!("stream yielded unknown job index {index}"))
-        })?;
-        let record = build_record(pending_job, outcome, step_budget, odd_side, agg)?;
+    for mapped in stream {
+        let (record, solve_us) = match mapped.result {
+            Ok(built) => built?,
+            Err(StreamPanic::Work(detail) | StreamPanic::Source(detail)) => {
+                return Err(AtlasError::Solve(SolveError::Panicked { detail }));
+            }
+        };
+        agg.solve_us += solve_us;
+        agg.sat.absorb(&record.sat);
         on_record(&record)?;
-        records.push((index, record));
-    }
-    if let Some(e) = lock(&failed).take() {
-        return Err(AtlasError::Solve(e));
+        records.push((mapped.index, record));
     }
     // Completion order is nondeterministic across threads; hand records
     // back in input order.
@@ -365,27 +338,37 @@ pub fn classify_specs(
     )
 }
 
-/// Turns one stream outcome into its census record. Only budget trips
+/// One problem's whole census unit: prepare, the budgeted even-side
+/// solve, classification under a fresh budget, and the odd-side probe.
+/// Returns the record and the solve's wall time in µs. Only budget trips
 /// and typed unsolvability become verdicts; any other engine error
 /// aborts the census loudly.
 fn build_record(
-    pending: Pending,
-    outcome: JobOutcome,
+    engine: &Engine,
+    job: SpecJob,
     step_budget: u64,
+    even_side: usize,
     odd_side: usize,
-    agg: &mut RunAgg,
-) -> Result<Record, AtlasError> {
-    let Pending { job, prepared } = pending;
-    let (solve, rounds, solvable_even, sat) = match outcome.result {
+) -> Result<(Record, u64), AtlasError> {
+    let budget = || {
+        if step_budget > 0 {
+            Budget::steps(step_budget)
+        } else {
+            Budget::unlimited()
+        }
+    };
+    let prepared = engine.prepare(&job.spec).map_err(AtlasError::Solve)?;
+    let even = Instance::square(even_side, &IdAssignment::Sequential);
+    let mut solve_us = 0;
+    let (solve, rounds, solvable_even, sat) = match prepared.solve_with(&even, &budget()) {
         Ok(labelling) => {
             let report = labelling.report;
-            agg.solve_us += report.cost.total_us;
-            let sat = report.cost.solver_total();
+            solve_us = report.cost.total_us;
             (
                 format!("solved:{}", report.solver),
                 Some(report.rounds.total()),
                 Some(true),
-                sat,
+                report.cost.solver_total(),
             )
         }
         Err(SolveError::Unsolvable { .. }) => (
@@ -399,14 +382,8 @@ fn build_record(
         }
         Err(e) => return Err(AtlasError::Solve(e)),
     };
-    agg.sat.absorb(&sat);
 
-    let class_budget = if step_budget > 0 {
-        Budget::steps(step_budget)
-    } else {
-        Budget::unlimited()
-    };
-    let class = match prepared.classify_with(&class_budget) {
+    let class = match prepared.classify_with(&budget()) {
         Ok(class) => Some(class),
         Err(SolveError::DeadlineExceeded { .. } | SolveError::Cancelled) => None,
         Err(e) => return Err(AtlasError::Solve(e)),
@@ -434,7 +411,7 @@ fn build_record(
         (Verdict::Timeout, None)
     };
 
-    Ok(Record {
+    let record = Record {
         key: job.key,
         alphabet: job.alphabet,
         blocks: job.blocks,
@@ -448,7 +425,8 @@ fn build_record(
         solvable_even,
         solvable_odd,
         sat,
-    })
+    };
+    Ok((record, solve_us))
 }
 
 /// Replays a journal: header must match the requested census; records
@@ -513,11 +491,4 @@ fn load_journal(path: &Path, expected: &Header) -> Result<HashMap<String, Record
         std::fs::write(path, keep)?;
     }
     Ok(records)
-}
-
-/// Poison-tolerant mutex acquisition (census state stays consistent
-/// under a panicking worker; the stream layer already converts solver
-/// panics into typed errors).
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }

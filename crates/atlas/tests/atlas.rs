@@ -277,3 +277,76 @@ fn global_seeds_respect_the_synthesis_k_gate() {
     assert_eq!(prepared.classify().unwrap(), GridClass::Constant);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Records are functions of (problem, census config) only: the census
+/// artifact is byte-identical whether the engine runs it on 1, 2 or 4
+/// worker threads, at the default step budget — and every record agrees
+/// with the checked-in full alphabet-2 census.
+#[test]
+fn census_bytes_do_not_depend_on_thread_count() {
+    let dir = temp_dir("threads");
+    let frontier = Frontier::alphabet(2).with_max_blocks(5);
+    let mut artifacts = Vec::new();
+    for threads in [1, 2, 4] {
+        let engine = Arc::new(
+            Engine::builder()
+                .threads(threads)
+                .max_synthesis_k(1)
+                .build(),
+        );
+        let outcome = run_census(&engine, &frontier, &CensusOptions::default()).unwrap();
+        assert!(outcome.stats.complete);
+        assert_eq!(outcome.stats.threads, threads);
+        let path = dir.join(format!("census-t{threads}.jsonl"));
+        outcome.atlas.write(&path).unwrap();
+        artifacts.push(std::fs::read_to_string(&path).unwrap());
+    }
+    assert_eq!(artifacts[0], artifacts[1], "1 vs 2 threads");
+    assert_eq!(artifacts[0], artifacts[2], "1 vs 4 threads");
+
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/atlas/census-a2.jsonl");
+    let reference: std::collections::HashSet<String> = std::fs::read_to_string(fixture)
+        .unwrap()
+        .lines()
+        .skip(1)
+        .map(str::to_string)
+        .collect();
+    let records: Vec<&str> = artifacts[0].lines().skip(1).collect();
+    assert!(records.len() > 500, "{} records", records.len());
+    for line in records {
+        assert!(
+            reference.contains(line),
+            "record differs from the fixture: {line}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An engine error raised on a stream worker outside the solve — here
+/// `prepare` finding no solver for a 17-label table that is neither
+/// synthesisable nor SAT-encodable — comes back to the caller as a
+/// typed `AtlasError`, not a panic.
+#[test]
+fn worker_engine_errors_surface_as_atlas_errors() {
+    use lcl_atlas::{classify_specs, AtlasError};
+    use lcl_grids::SolveError;
+    let unplannable = ProblemSpec::block(
+        "unplannable",
+        BlockLcl::from_pairs(17, |west, east| west != east, |south, north| south == north),
+    );
+    let specs = vec![
+        one_block_spec(),
+        ProblemSpec::independent_set(),
+        unplannable,
+        ProblemSpec::vertex_colouring(3),
+    ];
+    let result = classify_specs(&census_engine(), specs, &CensusOptions::default());
+    match result {
+        Err(AtlasError::Solve(SolveError::NoSolver { problem })) => {
+            assert_eq!(problem, "unplannable")
+        }
+        Err(other) => panic!("expected NoSolver, got {other}"),
+        Ok(records) => panic!("expected an error, got {} records", records.len()),
+    }
+}

@@ -46,6 +46,9 @@ pub enum SpanKind {
     Validation,
     /// A zero-duration instant event (breaker skip, cache hit, …).
     Mark,
+    /// One `PreparedProblem::solvable` existence probe. Appended after
+    /// [`SpanKind::Mark`] so the older wire codes keep their values.
+    Probe,
 }
 
 impl SpanKind {
@@ -63,6 +66,7 @@ impl SpanKind {
             8 => SpanKind::Simulator,
             9 => SpanKind::Dedup,
             10 => SpanKind::Validation,
+            12 => SpanKind::Probe,
             _ => SpanKind::Mark,
         }
     }
@@ -82,6 +86,7 @@ impl SpanKind {
             SpanKind::Dedup => "dedup",
             SpanKind::Validation => "validation",
             SpanKind::Mark => "mark",
+            SpanKind::Probe => "probe",
         }
     }
 
@@ -117,6 +122,7 @@ impl From<SpanKind> for u32 {
             SpanKind::Dedup => 9,
             SpanKind::Validation => 10,
             SpanKind::Mark => 11,
+            SpanKind::Probe => 12,
         }
     }
 }
@@ -341,5 +347,13 @@ mod tests {
         ] {
             assert_eq!(SpanKind::from_u32(u32::from(kind)), kind);
         }
+    }
+
+    #[test]
+    fn probe_kind_is_appended_after_mark() {
+        assert_eq!(u32::from(SpanKind::Mark), 11);
+        assert_eq!(u32::from(SpanKind::Probe), 12);
+        assert_eq!(SpanKind::from_u32(12), SpanKind::Probe);
+        assert_eq!(SpanKind::from_u32(13), SpanKind::Mark);
     }
 }

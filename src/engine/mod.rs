@@ -84,7 +84,7 @@ pub use lcl_trace::{Cost, SolverCost, TierAttempt, TierOutcome};
 pub use prepared::PreparedProblem;
 pub use registry::{PlanOptions, Registry, SynthOrigin, SynthStats};
 pub use spec::{ProblemSpec, Topology};
-pub use stream::{JobOutcome, SolveStream, JOBS_ITERATOR_PANICKED};
+pub use stream::{JobOutcome, MapStream, Mapped, SolveStream, StreamPanic, JOBS_ITERATOR_PANICKED};
 
 use lcl_algorithms::corner::{BoundaryGrid, PseudoForest};
 use lcl_algorithms::Profile;

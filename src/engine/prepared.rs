@@ -517,6 +517,7 @@ impl PreparedProblem {
     /// chromatic bound for vertex colouring); unsupported pairs come back
     /// as [`SolveError::UnsupportedTopology`].
     pub fn solvable(&self, inst: &Instance) -> Result<bool, SolveError> {
+        let _span = lcl_trace::span(lcl_trace::SpanKind::Probe, "solvable");
         let lowered = inst.lower_d2();
         let inst = lowered.as_ref().unwrap_or(inst);
         let topology = inst.topology();

@@ -1,17 +1,10 @@
-//! The streaming solve path: million-job workloads in `O(threads)`
-//! memory.
+//! The streaming paths: million-item workloads in `O(threads)` memory.
 //!
-//! [`Engine::solve_stream`] takes an *iterator* of mixed-problem
-//! [`Job`]s and returns a [`SolveStream`] — itself an iterator of
-//! [`JobOutcome`]s. Jobs are pulled from the input lazily, one per idle
-//! worker, and finished results flow back through a bounded channel: when
-//! the consumer stops draining, the channel fills, the workers block on
-//! their sends, and no further jobs are pulled. The input is therefore
-//! never materialised; at any moment at most
-//! [`SolveStream::buffer_bound`] jobs (`2 × threads`: one in flight per
-//! worker, one finished result buffered per worker) have been pulled but
-//! not yet yielded. `tests/prepare.rs` pins the bound with a counting
-//! iterator over 10 000 jobs.
+//! [`Engine::stream_map`] is the one streaming executor; its invariants
+//! are stated on it and pinned by `tests/stream.rs`.
+//! [`Engine::solve_stream`] is an adapter over it: the items are
+//! mixed-problem [`Job`]s, the work is one solve, and the results are
+//! [`JobOutcome`]s.
 //!
 //! Streaming trades the batch path's *unbounded* in-batch dedup for the
 //! memory bound — remembering every previously seen job is exactly what
@@ -60,13 +53,76 @@ pub struct JobOutcome {
     pub deduped: bool,
 }
 
-/// The shared pull-end of a stream: the job iterator plus the running
-/// input index, taken by one worker at a time. `jobs` becomes `None`
+/// The shared pull-end of a stream: the item iterator plus the running
+/// input index, taken by one worker at a time. `items` becomes `None`
 /// once the iterator is exhausted — or once it panicked, so that every
 /// worker (not just the observing one) stops pulling from it.
-struct JobSource<I> {
-    jobs: Option<I>,
+struct Source<I> {
+    items: Option<I>,
     next_index: u64,
+}
+
+/// One finished item of an [`Engine::stream_map`]: its input position
+/// and what the work returned for it.
+#[derive(Debug)]
+pub struct Mapped<T> {
+    /// Zero-based position of the item in the input iterator.
+    pub index: u64,
+    /// The work's value, or the panic caught in its place.
+    pub result: Result<T, StreamPanic>,
+}
+
+/// A panic [`Engine::stream_map`] caught instead of losing a worker.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum StreamPanic {
+    /// The work panicked on this item. Only this item is lost; the
+    /// other items still arrive.
+    Work(String),
+    /// The input iterator panicked producing the item at this index.
+    /// No worker pulls again; only items already in flight still arrive.
+    Source(String),
+}
+
+/// A running [`Engine::stream_map`]: iterate it to drain results (in
+/// completion order). Dropping it early is safe — workers observe the
+/// disconnected channel and wind down; the drop joins them.
+pub struct MapStream<T> {
+    rx: Option<mpsc::Receiver<Mapped<T>>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl<T> MapStream<T> {
+    /// Worker threads running this stream.
+    pub fn threads(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// The guaranteed bound on items pulled from the input but not yet
+    /// yielded to the consumer: one in-flight item per worker plus one
+    /// buffered result slot per worker (`2 × threads`). This is what
+    /// keeps an arbitrarily long input in `O(threads)` memory.
+    pub fn buffer_bound(&self) -> usize {
+        2 * self.threads()
+    }
+}
+
+impl<T> Iterator for MapStream<T> {
+    type Item = Mapped<T>;
+
+    fn next(&mut self) -> Option<Mapped<T>> {
+        self.rx.as_ref()?.recv().ok()
+    }
+}
+
+impl<T> Drop for MapStream<T> {
+    fn drop(&mut self) {
+        // Disconnect first so blocked workers fail their sends instead of
+        // deadlocking against a join, then reap them.
+        self.rx = None;
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+    }
 }
 
 /// One remembered job group in the bounded stream dedup window.
@@ -194,29 +250,29 @@ impl DedupWindow {
 /// (there is no prepared problem to name — the input itself failed).
 pub const JOBS_ITERATOR_PANICKED: &str = "<jobs-iterator>";
 
+/// The `problem` tag of a job whose stream work panicked outside the
+/// solve (the dedup window), after the job was consumed.
+const WORK_PANICKED: &str = "<stream-work>";
+
 /// A running streamed solve: iterate it to drain results (in completion
 /// order). Dropping the stream early is safe — workers observe the
 /// disconnected channel and wind down; the drop joins them.
 pub struct SolveStream {
-    rx: Option<mpsc::Receiver<JobOutcome>>,
-    workers: Vec<JoinHandle<()>>,
-    threads: usize,
+    inner: MapStream<JobOutcome>,
     dedup_hits: Arc<AtomicU64>,
 }
 
 impl SolveStream {
     /// Worker threads solving this stream.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.inner.threads()
     }
 
     /// The guaranteed bound on jobs pulled from the input but not yet
-    /// yielded to the consumer: one in-flight job per worker plus one
-    /// buffered result slot per worker (`2 × threads`). This is what
-    /// keeps an arbitrarily long input in `O(threads)` memory (plus the
-    /// opt-in dedup window's `O(window × nodes)`, when configured).
+    /// yielded to the consumer (see [`MapStream::buffer_bound`]), plus
+    /// the opt-in dedup window's `O(window × nodes)`, when configured.
     pub fn buffer_bound(&self) -> usize {
-        2 * self.threads
+        self.inner.buffer_bound()
     }
 
     /// Jobs of *this* stream answered from the bounded dedup window so
@@ -233,18 +289,20 @@ impl Iterator for SolveStream {
     type Item = JobOutcome;
 
     fn next(&mut self) -> Option<JobOutcome> {
-        self.rx.as_ref()?.recv().ok()
-    }
-}
-
-impl Drop for SolveStream {
-    fn drop(&mut self) {
-        // Disconnect first so blocked workers fail their sends instead of
-        // deadlocking against a join, then reap them.
-        self.rx = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        let Mapped { index, result } = self.inner.next()?;
+        let (problem, detail) = match result {
+            Ok(outcome) => return Some(JobOutcome { index, ..outcome }),
+            // Solver panics are caught inside the work, under the job's
+            // problem name; a work panic here came from outside a solve.
+            Err(StreamPanic::Work(detail)) => (WORK_PANICKED, detail),
+            Err(StreamPanic::Source(detail)) => (JOBS_ITERATOR_PANICKED, detail),
+        };
+        Some(JobOutcome {
+            index,
+            problem: problem.to_string(),
+            result: Err(SolveError::Panicked { detail }),
+            deduped: false,
+        })
     }
 }
 
@@ -253,15 +311,12 @@ impl Engine {
     /// [`Job`]s through the worker pool, yielding [`JobOutcome`]s in
     /// completion order through a bounded channel with backpressure.
     ///
-    /// The input iterator is pulled lazily from the worker threads — one
-    /// job per idle worker — so the jobs are never collected; see
-    /// [`SolveStream::buffer_bound`] for the exact in-flight bound. A
+    /// An adapter over [`Engine::stream_map`], which states the pulling,
+    /// bound, panic and drop invariants: the jobs are never collected. A
     /// panicking solver terminates only the affected job (typed as
-    /// [`SolveError::Panicked`]); a panicking jobs *iterator* ends the
-    /// stream for every worker and is reported — never swallowed — as a
-    /// final [`JobOutcome`] whose `problem` is
-    /// [`JOBS_ITERATOR_PANICKED`] and whose result is the typed panic,
-    /// so a consumer can always tell truncation from completion.
+    /// [`SolveError::Panicked`]); a panicking jobs *iterator* is reported
+    /// as a [`JobOutcome`] whose `problem` is
+    /// [`JOBS_ITERATOR_PANICKED`] and whose result is the typed panic.
     ///
     /// ```
     /// use lcl_grids::engine::{Engine, Instance, Job, ProblemSpec};
@@ -296,8 +351,7 @@ impl Engine {
     /// fail fast with the typed error while the stream itself stays live
     /// and yields every outcome. A job carrying its own
     /// [`Job::with_budget`] override is governed by that budget instead
-    /// — the per-problem-timeout shape mass pipelines (the `lcl-atlas`
-    /// census) drive through this entry point.
+    /// — the per-job-timeout shape of mass pipelines.
     pub fn solve_stream_with<I>(&self, jobs: I, budget: &Budget) -> SolveStream
     where
         I: IntoIterator<Item = Job>,
@@ -306,92 +360,124 @@ impl Engine {
         let budget = budget.clone();
         let health = Arc::clone(&self.health);
         let chaos = self.chaos.clone();
-        let threads = self.worker_threads();
-        let source = Arc::new(Mutex::new(JobSource {
-            jobs: Some(jobs.into_iter()),
-            next_index: 0u64,
-        }));
         let window = match self.stream_dedup_window() {
             0 => None,
-            cap => Some(Arc::new(Mutex::new(DedupWindow::new(cap)))),
+            cap => Some(Mutex::new(DedupWindow::new(cap))),
         };
-        let stream_hits = Arc::new(AtomicU64::new(0));
+        let dedup_hits = Arc::new(AtomicU64::new(0));
+        let stream_hits = Arc::clone(&dedup_hits);
         let engine_hits = self.stream_dedup_hits_counter();
-        // Capacity `threads`: with one in-flight job per worker this caps
-        // pulled-but-unyielded jobs at 2 × threads, the documented bound.
-        let (tx, rx) = mpsc::sync_channel::<JobOutcome>(threads);
+        let inner = self.stream_map(jobs, move |job: Job| {
+            let (result, deduped) =
+                solve_windowed(&job, window.as_ref(), &health, chaos.as_deref(), &budget);
+            if deduped {
+                stream_hits.fetch_add(1, Ordering::Relaxed);
+                engine_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            JobOutcome {
+                index: 0, // the executor's tag, filled in by `SolveStream::next`
+                problem: job.prepared.spec().name().to_string(),
+                result,
+                deduped,
+            }
+        });
+        SolveStream { inner, dedup_hits }
+    }
+
+    /// The engine's one streaming executor: runs `work` on every item of
+    /// a (possibly unbounded) iterator across the engine's worker
+    /// threads, yielding [`Mapped`] results tagged with their input index
+    /// in completion order. [`Engine::solve_stream`] is this executor
+    /// with a solve as the work; the `lcl-atlas` census passes its whole
+    /// per-problem unit (prepare, solve, classify, probe) instead.
+    ///
+    /// The invariants every stream shares:
+    ///
+    /// * Items are pulled lazily, one per idle worker, from a source
+    ///   behind a mutex; results flow back through a bounded channel of
+    ///   capacity `threads`, so at most [`MapStream::buffer_bound`]
+    ///   (`2 × threads`) items are pulled but not yet yielded. A
+    ///   consumer that stops draining stops the pulling.
+    /// * A panicking `work` loses only its item, which comes back as
+    ///   [`StreamPanic::Work`].
+    /// * A panicking iterator ends the stream for every worker (no item
+    ///   is pulled after it) and is reported once — never swallowed — as
+    ///   [`StreamPanic::Source`], so a consumer can always tell
+    ///   truncation from completion.
+    /// * Dropping the stream disconnects the channel and joins the
+    ///   workers.
+    ///
+    /// The engine's `threads` setting sizes the pool exactly as it sizes
+    /// solves.
+    pub fn stream_map<I, T, F>(&self, items: I, work: F) -> MapStream<T>
+    where
+        I: IntoIterator,
+        I::IntoIter: Send + 'static,
+        T: Send + 'static,
+        F: Fn(I::Item) -> T + Send + Sync + 'static,
+    {
+        let threads = self.worker_threads();
+        let source = Arc::new(Mutex::new(Source {
+            items: Some(items.into_iter()),
+            next_index: 0,
+        }));
+        let work = Arc::new(work);
+        // Capacity `threads`: with one in-flight item per worker this caps
+        // pulled-but-unyielded items at 2 × threads, the documented bound.
+        let (tx, rx) = mpsc::sync_channel::<Mapped<T>>(threads);
         let workers = (0..threads)
             .map(|_| {
                 let source = Arc::clone(&source);
-                let window = window.clone();
-                let stream_hits = Arc::clone(&stream_hits);
-                let engine_hits = Arc::clone(&engine_hits);
-                let budget = budget.clone();
-                let health = Arc::clone(&health);
-                let chaos = chaos.clone();
+                let work = Arc::clone(&work);
                 let tx = tx.clone();
-                std::thread::spawn(move || loop {
-                    let (index, job) = {
-                        let mut source = source.lock().unwrap_or_else(PoisonError::into_inner);
-                        let Some(jobs) = source.jobs.as_mut() else {
-                            break; // exhausted — or ended by a panic below
-                        };
-                        match catch_unwind(AssertUnwindSafe(|| jobs.next())) {
-                            Ok(Some(job)) => {
-                                let index = source.next_index;
-                                source.next_index += 1;
-                                (index, job)
-                            }
-                            Ok(None) => {
-                                source.jobs = None;
-                                break;
-                            }
-                            // A panicking jobs iterator ends the stream
-                            // for every worker (its state is unusable)
-                            // and is reported as a typed outcome so the
-                            // consumer can tell truncation from
-                            // completion.
-                            Err(payload) => {
-                                source.jobs = None;
-                                let index = source.next_index;
-                                drop(source);
-                                let _ = tx.send(JobOutcome {
-                                    index,
-                                    problem: JOBS_ITERATOR_PANICKED.to_string(),
-                                    result: Err(SolveError::Panicked {
-                                        detail: panic_detail(payload),
-                                    }),
-                                    deduped: false,
-                                });
-                                break;
-                            }
+                std::thread::spawn(move || {
+                    while let Some((index, item)) = pull(&source, &tx) {
+                        let result = catch_unwind(AssertUnwindSafe(|| work(item)))
+                            .map_err(|payload| StreamPanic::Work(panic_detail(payload)));
+                        // A dropped consumer disconnects the channel: stop
+                        // pulling and wind down.
+                        if tx.send(Mapped { index, result }).is_err() {
+                            break;
                         }
-                    };
-                    let (result, deduped) =
-                        solve_windowed(&job, window.as_deref(), &health, chaos.as_deref(), &budget);
-                    if deduped {
-                        stream_hits.fetch_add(1, Ordering::Relaxed);
-                        engine_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let outcome = JobOutcome {
-                        index,
-                        problem: job.prepared.spec().name().to_string(),
-                        result,
-                        deduped,
-                    };
-                    // A dropped consumer disconnects the channel: stop
-                    // pulling and wind down.
-                    if tx.send(outcome).is_err() {
-                        break;
                     }
                 })
             })
             .collect();
-        SolveStream {
+        MapStream {
             rx: Some(rx),
             workers,
-            threads,
-            dedup_hits: stream_hits,
+        }
+    }
+}
+
+/// Takes the next item and its index from the shared source, or `None`
+/// once the source is exhausted. A panicking iterator is retired for
+/// every worker and reported on `tx`.
+fn pull<I: Iterator, T>(
+    source: &Mutex<Source<I>>,
+    tx: &mpsc::SyncSender<Mapped<T>>,
+) -> Option<(u64, I::Item)> {
+    let mut source = source.lock().unwrap_or_else(PoisonError::into_inner);
+    let items = source.items.as_mut()?;
+    match catch_unwind(AssertUnwindSafe(|| items.next())) {
+        Ok(Some(item)) => {
+            let index = source.next_index;
+            source.next_index += 1;
+            Some((index, item))
+        }
+        Ok(None) => {
+            source.items = None;
+            None
+        }
+        Err(payload) => {
+            source.items = None;
+            let index = source.next_index;
+            drop(source);
+            let _ = tx.send(Mapped {
+                index,
+                result: Err(StreamPanic::Source(panic_detail(payload))),
+            });
+            None
         }
     }
 }
