@@ -323,6 +323,41 @@ fn census_bytes_do_not_depend_on_thread_count() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A tight step budget makes many problems trip, and every trip is a
+/// record (`"verdict":"timeout"`), never a census abort: a trip in one
+/// problem's solve changes no other problem's record, so the artifact
+/// still completes and is byte-identical at 1, 2 and 4 engine threads.
+#[test]
+fn census_completes_and_is_thread_independent_under_tight_budgets() {
+    let frontier = Frontier::alphabet(2).with_max_blocks(5);
+    let options = CensusOptions {
+        step_budget: 60,
+        ..CensusOptions::default()
+    };
+    let dir = temp_dir("tight");
+    let mut artifacts = Vec::new();
+    for threads in [1, 2, 4] {
+        let engine = Arc::new(
+            Engine::builder()
+                .threads(threads)
+                .max_synthesis_k(1)
+                .build(),
+        );
+        let outcome = run_census(&engine, &frontier, &options).unwrap();
+        assert!(outcome.stats.complete);
+        let path = dir.join(format!("census-t{threads}.jsonl"));
+        outcome.atlas.write(&path).unwrap();
+        artifacts.push(std::fs::read_to_string(&path).unwrap());
+    }
+    assert_eq!(artifacts[0], artifacts[1], "1 vs 2 threads");
+    assert_eq!(artifacts[0], artifacts[2], "1 vs 4 threads");
+    assert!(
+        artifacts[0].contains("\"verdict\":\"timeout\""),
+        "a 60-step budget must trip somewhere"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// An engine error raised on a stream worker outside the solve — here
 /// `prepare` finding no solver for a 17-label table that is neither
 /// synthesisable nor SAT-encodable — comes back to the caller as a

@@ -1,6 +1,5 @@
-//! Benchmark harness crate: see `benches/` for per-experiment Criterion
-//! benches (feature-gated behind `criterion-benches`) and
-//! `src/bin/reproduce.rs` for the table generator that regenerates every
-//! experiment family of DESIGN.md §6 through the unified `Engine` API.
+//! Experiment harness crate: `src/bin/reproduce.rs` is the table
+//! generator that regenerates every experiment family of DESIGN.md §6
+//! through the unified `Engine` API.
 
 #![forbid(unsafe_code)]

@@ -302,8 +302,7 @@ impl Metrics {
 
     /// True while server-side failures dominate traffic: at least
     /// `FAULT_RATE_MIN_SAMPLES` 5xx responses so far *and* more 5xx
-    /// than 2xx across every endpoint. One of `/healthz`'s two
-    /// degradation signals (the other is an open circuit breaker).
+    /// than 2xx across every endpoint: the signal `/healthz` degrades on.
     pub fn fault_rate_exceeded(&self) -> bool {
         let endpoints = [
             &self.prepare,
@@ -338,26 +337,6 @@ impl Metrics {
         };
         let health = engine.health();
         let health_json = Json::obj(vec![
-            ("open_breakers", Json::size(health.open_breakers())),
-            ("breaker_trips", Json::count(health.breaker_trips())),
-            (
-                "breakers",
-                Json::Obj(
-                    health
-                        .breakers()
-                        .into_iter()
-                        .map(|b| {
-                            (
-                                b.solver,
-                                Json::obj(vec![
-                                    ("state", Json::str(b.state.name())),
-                                    ("trips", Json::count(b.trips)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
             (
                 "tiers",
                 Json::Obj(
@@ -370,7 +349,6 @@ impl Metrics {
                                 Json::obj(vec![
                                     ("timeouts", Json::count(c.timeouts)),
                                     ("fallbacks", Json::count(c.fallbacks)),
-                                    ("breaker_skips", Json::count(c.breaker_skips)),
                                 ]),
                             )
                         })
@@ -652,19 +630,6 @@ impl Metrics {
             "lcl_engine_stream_dedup_hits_total",
             "Batch-stream dedup window hits.",
             engine.stream_dedup_hits(),
-        );
-        let health = engine.health();
-        gauge(
-            &mut out,
-            "lcl_open_breakers",
-            "Solver-tier circuit breakers currently open or half-open.",
-            health.open_breakers() as u64,
-        );
-        counter(
-            &mut out,
-            "lcl_breaker_trips_total",
-            "Solver-tier circuit-breaker trips.",
-            health.breaker_trips(),
         );
         gauge(
             &mut out,

@@ -736,10 +736,8 @@ fn route(shared: &Shared, request: &Request) -> Result<Routed, ApiError> {
         }
         ("GET", "/healthz") => {
             // `ok` is pure liveness (the process answered); `status`
-            // degrades while any tier breaker is open/half-open or while
-            // server-side failures dominate recent traffic.
-            let open = shared.engine.health().open_breakers();
-            let degraded = open > 0 || shared.metrics.fault_rate_exceeded();
+            // degrades while server-side failures dominate recent traffic.
+            let degraded = shared.metrics.fault_rate_exceeded();
             Ok(Routed::json(
                 200,
                 Json::obj(vec![
@@ -748,7 +746,6 @@ fn route(shared: &Shared, request: &Request) -> Result<Routed, ApiError> {
                         "status",
                         Json::str(if degraded { "degraded" } else { "ok" }),
                     ),
-                    ("open_breakers", Json::size(open)),
                     ("build", build_json(shared)),
                 ])
                 .to_string(),

@@ -532,7 +532,7 @@ fn zero_deadline_is_a_typed_504_and_the_plan_stays_usable() {
 }
 
 #[test]
-fn deadline_storms_trip_the_breaker_and_healthz_recovers() {
+fn deadline_storms_leave_later_solves_untouched() {
     let server = Server::start(ServeConfig {
         workers: 2,
         queue_cap: 16,
@@ -544,26 +544,12 @@ fn deadline_storms_trip_the_breaker_and_healthz_recovers() {
     let addr = server.addr();
 
     // A DSL problem has no closed-form tier, so a too-tight deadline
-    // trips inside the SAT-backed tiers on every request. Five
-    // consecutive trips reach the breaker threshold.
+    // trips inside the SAT-backed tiers on every request.
     let tight = r#"{"problem":{"type":"dsl","source":"problem serve-3c { alphabet { a, b, c } edges differ }"},"instance":{"topology":"torus2","side":12},"return_labels":false,"deadline_ms":1}"#;
     for i in 0..5 {
         let (status, text) = post(addr, "/solve", tight);
         assert_eq!(status, 504, "request {i}: {text}");
     }
-
-    let (status, text) = get(addr, "/healthz");
-    assert_eq!(status, 200);
-    let health = Json::parse(&text).unwrap();
-    assert_eq!(
-        health.get("status").unwrap().as_str(),
-        Some("degraded"),
-        "open breakers must degrade /healthz: {text}"
-    );
-    assert!(
-        health.get("open_breakers").unwrap().as_usize().unwrap() >= 1,
-        "{text}"
-    );
 
     // The ledgers in /metrics account for every trip.
     let (_, text) = get(addr, "/metrics");
@@ -577,32 +563,16 @@ fn deadline_storms_trip_the_breaker_and_healthz_recovers() {
         other => panic!("tiers must be an object, got {other}"),
     };
     assert!(timeouts >= 5, "five tight solves, each a trip: {text}");
-    assert!(
-        metrics
-            .get("health")
-            .and_then(|h| h.get("breaker_trips"))
-            .and_then(Json::as_u64)
-            .unwrap()
-            >= 1,
-        "{text}"
-    );
     assert!(metrics.get("uptime_secs").is_some(), "{text}");
 
-    // After the cooldown a roomy solve probes the tier, succeeds, and
-    // closes the breaker: /healthz recovers on its own traffic.
-    std::thread::sleep(Duration::from_millis(250));
+    // Earlier trips change no later answer: a roomy solve of the same
+    // problem succeeds at once, with no cooldown to wait out.
     let roomy = r#"{"problem":{"type":"dsl","source":"problem serve-3c { alphabet { a, b, c } edges differ }"},"instance":{"topology":"torus2","side":12},"return_labels":false}"#;
     let (status, text) = post(addr, "/solve", roomy);
-    assert_eq!(status, 200, "the probe solve must succeed: {text}");
-    let (_, breakers) = get(addr, "/metrics");
+    assert_eq!(status, 200, "the roomy solve must succeed: {text}");
     let (_, text) = get(addr, "/healthz");
     let health = Json::parse(&text).unwrap();
-    assert_eq!(
-        health.get("status").unwrap().as_str(),
-        Some("ok"),
-        "{text}\n{breakers}"
-    );
-    assert_eq!(health.get("open_breakers").unwrap().as_usize(), Some(0));
+    assert_eq!(health.get("status").unwrap().as_str(), Some("ok"), "{text}");
 
     server.shutdown();
     server.wait();
@@ -650,7 +620,7 @@ fn chaos_panic_storm_is_contained_and_accounted() {
     assert_eq!(injected, observed_panics, "{text}");
 
     // With 5xx dominating traffic, the fault-rate signal degrades
-    // /healthz even though no breaker recorded the panics.
+    // /healthz.
     let (status, text) = get(addr, "/healthz");
     assert_eq!(status, 200);
     assert_eq!(

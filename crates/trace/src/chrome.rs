@@ -127,7 +127,7 @@ mod tests {
         let trace = Trace {
             events: vec![
                 event("solve", SpanKind::Solve, 1_500, 42_500),
-                event("breaker-skip", SpanKind::Mark, 2_000, 2_000),
+                event("tier-timeout", SpanKind::Mark, 2_000, 2_000),
             ],
             dropped: 5,
         };

@@ -96,8 +96,6 @@ pub enum TierOutcome {
     /// a policy discard after (instance too small for the tier, result
     /// over the engine's round budget).
     Skipped,
-    /// Skipped by an open circuit breaker.
-    BreakerSkip,
     /// The tier ran out of budget; the walk fell through to the next.
     Timeout,
     /// The caller cancelled mid-attempt.
@@ -113,20 +111,19 @@ impl TierOutcome {
             TierOutcome::Solved => "solved",
             TierOutcome::Unsolvable => "unsolvable",
             TierOutcome::Skipped => "skipped",
-            TierOutcome::BreakerSkip => "breaker-skip",
             TierOutcome::Timeout => "timeout",
             TierOutcome::Cancelled => "cancelled",
             TierOutcome::Failed => "failed",
         }
     }
 
-    /// Numeric code for the tier span's `outcome` counter slot.
+    /// Numeric code for the tier span's `outcome` counter slot. The codes
+    /// are fixed wire values; 3 is retired and never reused.
     pub fn code(self) -> u64 {
         match self {
             TierOutcome::Solved => 0,
             TierOutcome::Unsolvable => 1,
             TierOutcome::Skipped => 2,
-            TierOutcome::BreakerSkip => 3,
             TierOutcome::Timeout => 4,
             TierOutcome::Cancelled => 5,
             TierOutcome::Failed => 6,

@@ -24,7 +24,7 @@
 //!   a thread-local, so instrumentation never changes a function
 //!   signature: [`span`] opens a child of the current span, the guard's
 //!   drop records it. [`mark`] records zero-duration instant events
-//!   (breaker skips, cache hits).
+//!   (tier timeouts, cache hits).
 //! * **[`SolverCost`]** — the SAT cost ledger (decisions, propagations,
 //!   conflicts, learned clauses). `lcl-sat` charges it into a
 //!   thread-local accumulator at the end of every solve; the engine's

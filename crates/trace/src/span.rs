@@ -44,7 +44,7 @@ pub enum SpanKind {
     Dedup,
     /// Output validation against the problem spec.
     Validation,
-    /// A zero-duration instant event (breaker skip, cache hit, …).
+    /// A zero-duration instant event (tier timeout, cache hit, …).
     Mark,
     /// One `PreparedProblem::solvable` existence probe. Appended after
     /// [`SpanKind::Mark`] so the older wire codes keep their values.
@@ -237,7 +237,7 @@ impl Drop for SpanGuard {
 }
 
 /// Records a zero-duration instant event under the current span
-/// (breaker skips, cache hits, timeouts). A no-op single branch when
+/// (tier timeouts and fallbacks, cache hits). A no-op single branch when
 /// tracing is disabled.
 #[inline]
 pub fn mark(kind: SpanKind, name: &str, counters: [u64; 4]) {
@@ -285,7 +285,7 @@ mod tests {
                     tier.count(0, 7);
                     let _leaf = span(SpanKind::Sat, "sat-solve");
                 }
-                mark(SpanKind::Mark, "breaker-skip", [1, 0, 0, 0]);
+                mark(SpanKind::Mark, "tier-timeout", [1, 0, 0, 0]);
             }
             let trace = crate::snapshot_for(0xA11CE);
             assert_eq!(trace.events.len(), 4);
@@ -300,7 +300,7 @@ mod tests {
             let m = trace
                 .events
                 .iter()
-                .find(|e| e.name == "breaker-skip")
+                .find(|e| e.name == "tier-timeout")
                 .unwrap();
             assert_eq!(m.parent_id, root_id);
             assert_eq!(m.duration_ns(), 0);

@@ -77,7 +77,7 @@ fn disabled_tracing_allocates_nothing_on_the_hot_path() {
             {
                 let mut tier = lcl_trace::span(SpanKind::Tier, "tier");
                 tier.counters([i, 1, 2, 3]);
-                lcl_trace::mark(SpanKind::Mark, "breaker-skip", [i, 0, 0, 0]);
+                lcl_trace::mark(SpanKind::Mark, "tier-timeout", [i, 0, 0, 0]);
             }
             lcl_trace::charge_solver(SolverCost {
                 decisions: i,

@@ -23,7 +23,7 @@
 //! * [`FaultPoint::SolvePanic`] — the solver dispatch panics, exercising
 //!   the batch/stream/serve `catch_unwind` containment paths.
 //! * [`FaultPoint::SolveLatency`] — artificial per-tier latency, for
-//!   deadline and breaker testing.
+//!   deadline testing.
 //! * [`FaultPoint::DedupPoison`] — a stream dedup-window entry is
 //!   corrupted after insertion, exercising the checksum-recovery path.
 

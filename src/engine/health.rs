@@ -1,81 +1,16 @@
-//! Engine health: per-solver circuit breakers and robustness counters.
+//! Engine health: robustness counters.
 //!
-//! A persistently failing solver tier (panicking, erroring, or timing
-//! out on every dispatch) costs every request the full failure before
-//! the plan falls through to the next tier. The [`Health`] ledger gives
-//! each solver name a three-state circuit breaker — `Closed` (normal),
-//! `Open` (skip the tier entirely), `HalfOpen` (let one probe through) —
-//! with exponential-backoff cooldowns, plus per-tier timeout/fallback
-//! counters and the dedup-poison recovery counter. One `Arc<Health>` per
-//! engine, shared with every [`super::PreparedProblem`] it prepares and
-//! exported by `lcl-serve`'s `/metrics` and `/healthz`.
-//!
-//! Only *infrastructure* failures count against a breaker: panics,
-//! `SolverFailed`, validation failures, and budget trips. Domain
-//! verdicts — `Unsolvable`, `TorusTooSmall`, `SynthesisFailed` — are
-//! correct answers, and count as successes (a half-open probe answering
-//! one closes its breaker rather than wedging the probe slot).
+//! The [`Health`] ledger counts, per solver tier, the budget trips and
+//! the solves a later tier answered after such a trip, plus the
+//! dedup-poison recovery counter. It only counts: no counter feeds back
+//! into dispatch, so an answer never depends on what earlier solves did.
+//! One `Arc<Health>` per engine, shared with every
+//! [`super::PreparedProblem`] it prepares and exported by `lcl-serve`'s
+//! `/metrics`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
-
-/// Consecutive infrastructure failures that trip a breaker open.
-pub const BREAKER_THRESHOLD: u32 = 5;
-
-/// Cooldown after the first trip; doubles per consecutive trip.
-pub const BREAKER_BASE_COOLDOWN: Duration = Duration::from_millis(100);
-
-/// Cooldown growth cap.
-pub const BREAKER_MAX_COOLDOWN: Duration = Duration::from_secs(5);
-
-/// Breaker position, as exported by [`Health::breakers`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal operation.
-    Closed,
-    /// Tripped: dispatches to this solver are skipped until the cooldown
-    /// elapses.
-    Open,
-    /// Cooldown elapsed: exactly one probe dispatch is allowed through;
-    /// its outcome closes or re-opens the breaker.
-    HalfOpen,
-}
-
-impl BreakerState {
-    /// Stable name for metrics rows.
-    pub fn name(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
-}
-
-struct Breaker {
-    state: BreakerState,
-    consecutive_failures: u32,
-    /// When the breaker last opened.
-    opened_at: Instant,
-    /// Current cooldown (exponential in consecutive trips).
-    cooldown: Duration,
-    /// Lifetime trips to `Open`.
-    trips: u64,
-}
-
-impl Breaker {
-    fn new() -> Breaker {
-        Breaker {
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            opened_at: Instant::now(),
-            cooldown: BREAKER_BASE_COOLDOWN,
-            trips: 0,
-        }
-    }
-}
 
 /// Per-tier robustness counters, as exported by [`Health::tier_counters`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -84,141 +19,24 @@ pub struct TierCounters {
     pub timeouts: u64,
     /// Solves answered by a *later* tier after this tier timed out.
     pub fallbacks: u64,
-    /// Dispatches skipped because this tier's breaker was open.
-    pub breaker_skips: u64,
 }
 
-/// A snapshot row of one breaker, for `/metrics`.
-#[derive(Clone, Debug)]
-pub struct BreakerSnapshot {
-    /// Solver name the breaker guards.
-    pub solver: String,
-    /// Current position (recomputed against the cooldown clock).
-    pub state: BreakerState,
-    /// Lifetime trips to `Open`.
-    pub trips: u64,
-}
-
-/// The engine's health ledger. All methods take `&self`; locks guard
-/// only brief map accesses and recover from poisoning.
+/// The engine's health ledger. All methods take `&self`; the lock guards
+/// only brief map accesses and recovers from poisoning.
 #[derive(Default)]
 pub struct Health {
-    breakers: Mutex<HashMap<String, Breaker>>,
     tiers: Mutex<HashMap<String, TierCounters>>,
     dedup_poison_recoveries: AtomicU64,
 }
 
 impl Health {
-    /// A fresh ledger: every breaker closed, every counter zero.
+    /// A fresh ledger: every counter zero.
     pub fn new() -> Health {
         Health::default()
     }
 
-    fn lock_breakers(&self) -> std::sync::MutexGuard<'_, HashMap<String, Breaker>> {
-        self.breakers.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn lock_tiers(&self) -> std::sync::MutexGuard<'_, HashMap<String, TierCounters>> {
         self.tiers.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Consults the breaker before dispatching to `solver`: `true` means
-    /// go ahead (and transitions `Open` → `HalfOpen` when the cooldown
-    /// has elapsed, claiming the probe slot); `false` means skip the
-    /// tier. An unknown solver is always allowed (breakers materialise
-    /// on first failure).
-    pub fn allow(&self, solver: &str) -> bool {
-        let mut breakers = self.lock_breakers();
-        let Some(b) = breakers.get_mut(solver) else {
-            return true;
-        };
-        match b.state {
-            BreakerState::Closed => true,
-            BreakerState::Open => {
-                if b.opened_at.elapsed() >= b.cooldown {
-                    b.state = BreakerState::HalfOpen;
-                    true
-                } else {
-                    false
-                }
-            }
-            // A probe is already in flight; hold further dispatches.
-            BreakerState::HalfOpen => false,
-        }
-    }
-
-    /// Records a successful (or domain-verdict) dispatch: closes the
-    /// breaker and resets the failure streak and cooldown.
-    pub fn record_success(&self, solver: &str) {
-        let mut breakers = self.lock_breakers();
-        if let Some(b) = breakers.get_mut(solver) {
-            b.state = BreakerState::Closed;
-            b.consecutive_failures = 0;
-            b.cooldown = BREAKER_BASE_COOLDOWN;
-        }
-    }
-
-    /// Records an infrastructure failure. A `HalfOpen` probe failure
-    /// re-opens immediately with a doubled cooldown; a `Closed` streak
-    /// reaching [`BREAKER_THRESHOLD`] trips the breaker open.
-    pub fn record_failure(&self, solver: &str) {
-        let mut breakers = self.lock_breakers();
-        let b = breakers
-            .entry(solver.to_string())
-            .or_insert_with(Breaker::new);
-        b.consecutive_failures = b.consecutive_failures.saturating_add(1);
-        match b.state {
-            BreakerState::HalfOpen => {
-                b.state = BreakerState::Open;
-                b.opened_at = Instant::now();
-                b.cooldown = (b.cooldown * 2).min(BREAKER_MAX_COOLDOWN);
-                b.trips += 1;
-            }
-            BreakerState::Closed if b.consecutive_failures >= BREAKER_THRESHOLD => {
-                b.state = BreakerState::Open;
-                b.opened_at = Instant::now();
-                b.trips += 1;
-            }
-            _ => {}
-        }
-    }
-
-    /// Number of breakers currently *recovering*: `HalfOpen` (probe in
-    /// flight) or `Open` still inside its cooldown — the signal
-    /// `/healthz` degrades on. An `Open` breaker whose cooldown has
-    /// elapsed admits a probe on the very next dispatch and is counted
-    /// as recovered; otherwise a tripped tier that an earlier tier
-    /// permanently shadows (its successes end the walk before the probe)
-    /// would hold the service `degraded` forever.
-    pub fn open_breakers(&self) -> usize {
-        self.lock_breakers()
-            .values()
-            .filter(|b| match b.state {
-                BreakerState::Closed => false,
-                BreakerState::HalfOpen => true,
-                BreakerState::Open => b.opened_at.elapsed() < b.cooldown,
-            })
-            .count()
-    }
-
-    /// A snapshot of every materialised breaker, sorted by solver name.
-    pub fn breakers(&self) -> Vec<BreakerSnapshot> {
-        let mut rows: Vec<BreakerSnapshot> = self
-            .lock_breakers()
-            .iter()
-            .map(|(solver, b)| BreakerSnapshot {
-                solver: solver.clone(),
-                state: b.state,
-                trips: b.trips,
-            })
-            .collect();
-        rows.sort_by(|a, b| a.solver.cmp(&b.solver));
-        rows
-    }
-
-    /// Lifetime trips across every breaker.
-    pub fn breaker_trips(&self) -> u64 {
-        self.lock_breakers().values().map(|b| b.trips).sum()
     }
 
     /// Counts a budget trip in `tier` (and drops an instant mark on the
@@ -239,16 +57,6 @@ impl Health {
             .entry(tier.to_string())
             .or_default()
             .fallbacks += 1;
-    }
-
-    /// Counts a dispatch skipped because `tier`'s breaker was open
-    /// (marked on the current trace like a timeout).
-    pub fn record_breaker_skip(&self, tier: &str) {
-        lcl_trace::mark(lcl_trace::SpanKind::Mark, "breaker-skip", [0; 4]);
-        self.lock_tiers()
-            .entry(tier.to_string())
-            .or_default()
-            .breaker_skips += 1;
     }
 
     /// Every tier's counters, sorted by tier name.
@@ -279,62 +87,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn breaker_trips_after_threshold_and_recovers() {
-        let h = Health::new();
-        assert!(h.allow("sat"));
-        for _ in 0..BREAKER_THRESHOLD - 1 {
-            h.record_failure("sat");
-            assert!(h.allow("sat"), "below threshold must stay closed");
-        }
-        h.record_failure("sat");
-        assert!(!h.allow("sat"), "threshold reached must open");
-        assert_eq!(h.open_breakers(), 1);
-        assert_eq!(h.breaker_trips(), 1);
-        // After the cooldown one probe is allowed; a success closes.
-        std::thread::sleep(BREAKER_BASE_COOLDOWN + Duration::from_millis(20));
-        assert!(h.allow("sat"), "cooldown elapsed: probe allowed");
-        assert!(!h.allow("sat"), "only one probe at a time");
-        h.record_success("sat");
-        assert!(h.allow("sat"));
-        assert_eq!(h.open_breakers(), 0);
-    }
-
-    #[test]
-    fn half_open_failure_reopens_with_backoff() {
-        let h = Health::new();
-        for _ in 0..BREAKER_THRESHOLD {
-            h.record_failure("synth");
-        }
-        std::thread::sleep(BREAKER_BASE_COOLDOWN + Duration::from_millis(20));
-        assert!(h.allow("synth"));
-        h.record_failure("synth");
-        assert!(!h.allow("synth"), "failed probe re-opens");
-        assert_eq!(h.breaker_trips(), 2);
-        // The cooldown doubled, so the base cooldown no longer suffices.
-        std::thread::sleep(BREAKER_BASE_COOLDOWN + Duration::from_millis(20));
-        assert!(!h.allow("synth"), "doubled cooldown still cooling");
-    }
-
-    #[test]
-    fn domain_success_resets_streak() {
-        let h = Health::new();
-        for _ in 0..BREAKER_THRESHOLD - 1 {
-            h.record_failure("tier");
-        }
-        h.record_success("tier");
-        for _ in 0..BREAKER_THRESHOLD - 1 {
-            h.record_failure("tier");
-        }
-        assert!(h.allow("tier"), "streak was reset by the success");
-    }
-
-    #[test]
     fn tier_counters_accumulate() {
         let h = Health::new();
         h.record_timeout("sat-existence");
         h.record_timeout("sat-existence");
         h.record_fallback("sat-existence");
-        h.record_breaker_skip("synthesised-tiles");
+        h.record_timeout("synthesised-tiles");
         let rows = h.tier_counters();
         assert_eq!(rows.len(), 2);
         assert_eq!(
@@ -344,10 +102,9 @@ mod tests {
                 TierCounters {
                     timeouts: 2,
                     fallbacks: 1,
-                    breaker_skips: 0
                 }
             )
         );
-        assert_eq!(rows[1].1.breaker_skips, 1);
+        assert_eq!(rows[1].1.timeouts, 1);
     }
 }

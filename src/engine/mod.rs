@@ -75,9 +75,7 @@ pub use atlas::{AtlasEntry, AtlasSeed, AtlasTable};
 pub use batch::{BatchReport, Job, ProblemBatchStats};
 pub use chaos::{ChaosConfig, ChaosState, FaultPoint};
 pub use error::SolveError;
-pub use health::{
-    BreakerSnapshot, BreakerState, Health, TierCounters, BREAKER_BASE_COOLDOWN, BREAKER_THRESHOLD,
-};
+pub use health::{Health, TierCounters};
 pub use instance::Instance;
 pub use lcl_sat::{Budget, BudgetExceeded, CancelToken};
 pub use lcl_trace::{Cost, SolverCost, TierAttempt, TierOutcome};
@@ -581,8 +579,8 @@ pub struct PrepareStats {
 ///   table) share one plan.
 pub struct Engine {
     registry: Arc<Registry>,
-    /// Per-solver circuit breakers and robustness counters, shared with
-    /// every prepared plan this engine resolves.
+    /// Per-tier timeout/fallback counters and the dedup-poison counter,
+    /// shared with every prepared plan this engine resolves.
     health: Arc<Health>,
     /// Armed fault injector (None = inert), shared with the registry's
     /// synthesis cache, every prepared plan, and the stream dedup window.
@@ -654,8 +652,8 @@ impl Engine {
         &self.registry
     }
 
-    /// The engine's health ledger: per-solver circuit breakers, per-tier
-    /// timeout/fallback counters, dedup-poison recoveries.
+    /// The engine's health ledger: per-tier timeout/fallback counters and
+    /// dedup-poison recoveries.
     pub fn health(&self) -> &Arc<Health> {
         &self.health
     }

@@ -28,8 +28,8 @@ use lcl_symmetry::protocol_validation::CvProtocol;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Appends a zero-cost skip entry (capability/shape mismatch or an open
-/// breaker) to a solve's cost ledger.
+/// Appends a zero-cost skip entry (capability/shape mismatch) to a
+/// solve's cost ledger.
 fn push_skip(cost: &mut lcl_trace::Cost, tier: &str, outcome: lcl_trace::TierOutcome) {
     cost.tiers.push(lcl_trace::TierAttempt {
         tier: tier.to_string(),
@@ -82,8 +82,8 @@ pub struct PreparedProblem {
     rounds_budget: Option<u64>,
     validate: bool,
     debug_validation: bool,
-    /// The engine's health ledger: circuit breakers consulted (and fed)
-    /// by every dispatch through this plan.
+    /// The engine's health ledger: per-tier timeout and fallback counters
+    /// fed by every dispatch through this plan.
     health: Arc<Health>,
     /// The engine's armed fault injector, if any.
     chaos: Option<Arc<ChaosState>>,
@@ -214,9 +214,8 @@ impl PreparedProblem {
     ///   fall-through errors).
     /// * [`SolveError::Cancelled`] aborts the walk immediately — a
     ///   caller that hung up wants no fallback.
-    /// * Per-solver circuit breakers are consulted before each dispatch:
-    ///   a tier tripped open by repeated infrastructure failures is
-    ///   skipped until its cooldown elapses (see [`super::Health`]).
+    /// * [`SolveError::Unsolvable`] is exact and ends the walk: no later
+    ///   tier can succeed.
     ///
     /// In every outcome the plan, the engine, and the shared caches stay
     /// fully reusable: a budget trip never poisons a cache cell or
@@ -308,16 +307,6 @@ impl PreparedProblem {
                 push_skip(cost, name, lcl_trace::TierOutcome::Skipped);
                 continue;
             }
-            if !self.health.allow(name) {
-                self.health.record_breaker_skip(name);
-                push_skip(cost, name, lcl_trace::TierOutcome::BreakerSkip);
-                fallthrough.get_or_insert(SolveError::SolverFailed {
-                    solver: name.to_string(),
-                    detail: "circuit breaker open: tier is cooling down after repeated failures"
-                        .to_string(),
-                });
-                continue;
-            }
             let attempt_started = Instant::now();
             let mut tier_span = lcl_trace::span(lcl_trace::SpanKind::Tier, name);
             if let Some(chaos) = &self.chaos {
@@ -338,7 +327,6 @@ impl PreparedProblem {
                             self.spec.check_instance(inst, &labelling.labels)
                         };
                         if let Err(violation) = valid {
-                            self.health.record_failure(name);
                             push_attempt(
                                 cost,
                                 &mut tier_span,
@@ -372,7 +360,6 @@ impl PreparedProblem {
                             continue;
                         }
                     }
-                    self.health.record_success(name);
                     push_attempt(
                         cost,
                         &mut tier_span,
@@ -406,7 +393,6 @@ impl PreparedProblem {
                 }
                 // Unsatisfiability is exact: no other solver can succeed.
                 Err(e @ SolveError::Unsolvable { .. }) => {
-                    self.health.record_success(name);
                     push_attempt(
                         cost,
                         &mut tier_span,
@@ -431,7 +417,6 @@ impl PreparedProblem {
                 // get their chance; the first trip owns the attribution.
                 Err(SolveError::DeadlineExceeded { tier, elapsed }) => {
                     self.health.record_timeout(name);
-                    self.health.record_failure(name);
                     push_attempt(
                         cost,
                         &mut tier_span,
@@ -442,7 +427,6 @@ impl PreparedProblem {
                     timed_out.get_or_insert((tier, elapsed));
                 }
                 Err(SolveError::TorusTooSmall { min_side, .. }) => {
-                    self.health.record_success(name);
                     push_attempt(
                         cost,
                         &mut tier_span,
@@ -454,17 +438,6 @@ impl PreparedProblem {
                         Some(smallest_supported.map_or(min_side, |m: usize| m.min(min_side)));
                 }
                 Err(e) => {
-                    if matches!(
-                        e,
-                        SolveError::SolverFailed { .. } | SolveError::Panicked { .. }
-                    ) {
-                        self.health.record_failure(name);
-                    } else {
-                        // Domain verdicts (e.g. SynthesisFailed) prove the
-                        // tier's machinery works; crucially they also close
-                        // a half-open probe instead of wedging it.
-                        self.health.record_success(name);
-                    }
                     push_attempt(
                         cost,
                         &mut tier_span,

@@ -3,8 +3,11 @@
 //! tripped plan, engine, and worker pool must behave exactly as if the
 //! trip never happened.
 
-use lcl_grids::engine::{Budget, CancelToken, Engine, Instance, ProblemSpec, SolveError};
+use lcl_grids::engine::{
+    Budget, CancelToken, ChaosConfig, Engine, FaultPoint, Instance, Job, ProblemSpec, SolveError,
+};
 use lcl_grids::local::IdAssignment;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// A DSL (lcl-lang) 3-colouring: no closed-form tier covers it, so every
@@ -137,4 +140,105 @@ fn batch_budget_is_joint_and_reports_typed_rows() {
         .solve_batch_with(&prepared, &[inst], &Budget::unlimited())
         .results()[0]
         .is_ok());
+}
+
+/// SplitMix64, the seeded operation picker of the history test.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e3779b97f4a7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+/// Answers are functions of the input alone: after a seeded run of
+/// budget trips, cancellations, tight classifications and an injected
+/// solver panic on one engine, its unlimited solves and classifications
+/// of both problems equal a fresh engine's — labels, answering tier and
+/// class.
+#[test]
+fn answers_do_not_depend_on_earlier_trips_cancellations_or_panics() {
+    let problems = [
+        (
+            sat_heavy_spec(),
+            Instance::square(8, &IdAssignment::Sequential),
+        ),
+        (
+            ProblemSpec::vertex_colouring(3),
+            Instance::square(6, &IdAssignment::Shuffled { seed: 5 }),
+        ),
+    ];
+    let fresh = Engine::builder().threads(1).max_synthesis_k(1).build();
+    let expected: Vec<_> = problems
+        .iter()
+        .map(|(spec, inst)| {
+            let prepared = fresh.prepare(spec).expect("prepare");
+            let labelling = prepared.solve(inst).expect("fresh solve");
+            let class = prepared.classify().expect("fresh classify");
+            (labelling.labels, labelling.report.solver, class)
+        })
+        .collect();
+
+    for seed in [1u64, 2, 3, 4, 5] {
+        let mut chaos = ChaosConfig::quiet(seed);
+        chaos.panic_at = Some(1 + seed % 4);
+        let engine = Engine::builder()
+            .threads(1)
+            .max_synthesis_k(1)
+            .chaos_config(chaos)
+            .build();
+        let mut rng = seed;
+        for _ in 0..16 {
+            let (spec, inst) = &problems[(next(&mut rng) % 2) as usize];
+            let prepared = engine.prepare(spec).expect("prepare");
+            let steps = 1 + next(&mut rng) % 200;
+            // Every outcome is allowed here, an escaped chaos panic too;
+            // only the answers afterwards are checked.
+            let _ = catch_unwind(AssertUnwindSafe(|| match next(&mut rng) % 4 {
+                0 => {
+                    let _ = prepared.solve_with(inst, &Budget::steps(steps));
+                }
+                1 => {
+                    let token = CancelToken::new();
+                    token.cancel();
+                    let _ = prepared.solve_with(inst, &Budget::unlimited().with_token(token));
+                }
+                2 => {
+                    let _ = prepared.classify_with(&Budget::steps(steps));
+                }
+                _ => {
+                    let job = Job::new(prepared.clone(), inst.clone());
+                    let _ = engine.solve_jobs_with(&[job], &Budget::steps(steps));
+                }
+            }));
+        }
+        let injected = engine
+            .chaos()
+            .expect("armed")
+            .injected(FaultPoint::SolvePanic);
+        assert_eq!(
+            injected, 1,
+            "seed {seed}: the chaos panic must fire in the run"
+        );
+
+        for ((spec, inst), (labels, solver, class)) in problems.iter().zip(&expected) {
+            let prepared = engine.prepare(spec).expect("prepare");
+            let labelling = prepared
+                .solve(inst)
+                .unwrap_or_else(|e| panic!("seed {seed}: {} after the run: {e}", spec.name()));
+            assert_eq!(&labelling.labels, labels, "seed {seed}: {}", spec.name());
+            assert_eq!(
+                &labelling.report.solver,
+                solver,
+                "seed {seed}: {}",
+                spec.name()
+            );
+            assert_eq!(
+                &prepared.classify().expect("classify"),
+                class,
+                "seed {seed}: {}",
+                spec.name()
+            );
+        }
+    }
 }
